@@ -499,9 +499,9 @@ extern "C" fn on_sigterm(_signum: i32) {
 }
 
 /// Binds SIGTERM to the drain flag. Raw `signal(2)` keeps the binary free of
-/// new dependencies; the handler only stores to an atomic, and every blocking
-/// operation on the drain path uses short poll timeouts, so `SA_RESTART`
-/// semantics are irrelevant.
+/// new dependencies; the handler only stores to an atomic. The server's
+/// `poll(2)` wait returns on `EINTR` if SIGTERM lands on the serving thread,
+/// and otherwise within `poll_interval()`, so `SA_RESTART` is irrelevant.
 fn install_sigterm_drain() {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;

@@ -222,9 +222,10 @@ impl MultiReport {
 }
 
 /// Runs a multi-tenant serving session to completion: polls `server` on the
-/// calling thread, spawning one supervised pipeline per admitted tenant, and
-/// returns every tenant's report once the server finishes (drain flag, or
-/// idle timeout with all tenants closed).
+/// calling thread, blocking in [`TenantServer::wait`] between idle rounds,
+/// spawning one supervised pipeline per admitted tenant, and returns every
+/// tenant's report once the server finishes (drain flag, or idle timeout
+/// with all tenants closed).
 ///
 /// `options.resume_from` (if set) applies to the first tenant only; later
 /// tenants always start fresh. `checkpoint` names the first tenant's
@@ -232,7 +233,8 @@ impl MultiReport {
 ///
 /// # Errors
 ///
-/// Propagates accept-loop I/O errors from [`TenantServer::poll`]. Per-tenant
+/// Propagates accept-loop I/O errors from [`TenantServer::poll`] and
+/// `poll(2)` failures from [`TenantServer::wait`]. Per-tenant
 /// pipeline failures are *not* errors — they are isolated into that tenant's
 /// [`TenantReport::result`].
 pub fn serve_tenants(
@@ -253,7 +255,11 @@ pub fn serve_tenants(
             match server.poll(&mut sink) {
                 Ok(ServerPoll::Done) => break Ok(()),
                 Ok(ServerPoll::Busy) => {}
-                Ok(ServerPoll::Idle) => std::thread::sleep(server.poll_interval()),
+                Ok(ServerPoll::Idle) => {
+                    if let Err(e) = server.wait() {
+                        break Err(e);
+                    }
+                }
                 Err(e) => break Err(e),
             }
         };

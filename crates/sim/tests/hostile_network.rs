@@ -1,9 +1,10 @@
 //! Hostile-network robustness: seeded transport faults against live
 //! endpoints.
 //!
-//! Every run drives the real `SocketSource` accept loop under `supervise`
-//! against the real retrying client, with a seeded [`ConnFaultPlan`] wrapping
-//! the client's wire in a [`FaultTransport`]. The contract under attack:
+//! Every run drives the daemon's own `TenantServer`, serving one tenant
+//! through a `SoloSource`, under `supervise` against the real retrying
+//! client, with a seeded [`ConnFaultPlan`] wrapping the client's wire in a
+//! [`FaultTransport`]. The contract under attack:
 //!
 //! - neither endpoint ever panics, whatever the plan injects;
 //! - a retrying client always terminates, delivers a byte-identical stream,
@@ -21,7 +22,8 @@ use impress_sim::{supervise, Configuration, DaemonOptions, IngestReport};
 use impress_workloads::codec::{TraceMeta, TraceRecord, TraceWriter};
 use impress_workloads::source::{FollowPolicy, SliceSource};
 use impress_workloads::transport::{
-    send_stream, Endpoint, Listener, MemInput, SendOptions, SocketSource, WireLink,
+    send_stream, Endpoint, Listener, MemInput, SendOptions, SoloSource, TenantLimits, TenantServer,
+    WireLink,
 };
 use impress_workloads::{ConnFaultPlan, ConnFaultState, FaultTransport, FrameMap};
 
@@ -97,8 +99,9 @@ fn spawn_daemon(
     let bound = listener.local_endpoint().unwrap();
     let configuration = Configuration::unprotected();
     let handle = thread::spawn(move || {
+        let server = TenantServer::new(listener, policy(idle), TenantLimits::default());
         supervise(
-            SocketSource::new(listener, policy(idle)),
+            SoloSource::new(server),
             &configuration,
             &opts(),
             &mut |_| Ok(()),

@@ -5,13 +5,15 @@
 //! TCP or a Unix-domain socket — at any shard thread count, across daemon
 //! crashes and client reconnects — yields the same verdict JSON as reading
 //! the file directly, modulo the ledgered `resume`/`conn-*` marker lines the
-//! transport records. These tests run the real `SocketSource` accept loop
-//! under `supervise` against the real `send_to` client over loopback.
+//! transport records. These tests run the daemon's own `TenantServer`,
+//! serving one tenant through a `SoloSource`, under `supervise` against the
+//! real `send_to` client over loopback.
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -20,7 +22,8 @@ use impress_sim::{Configuration, IngestReport};
 use impress_workloads::codec::{DecodeMode, TraceMeta, TraceReader, TraceRecord, TraceWriter};
 use impress_workloads::source::{FollowPolicy, SliceSource, TraceSource, TransportEvent};
 use impress_workloads::transport::{
-    send_to, Endpoint, Listener, MemInput, SendOptions, SocketSource,
+    send_to, Endpoint, Listener, MemInput, SendInput, SendOptions, SoloSource, TenantLimits,
+    TenantServer,
 };
 
 const RECORDS: u64 = 50_000;
@@ -64,6 +67,15 @@ fn policy(idle: Duration) -> FollowPolicy {
     }
 }
 
+/// A one-tenant server on `listener`, pulled as a trace source.
+fn solo(listener: Listener, idle: Duration, drain: Option<&'static AtomicBool>) -> SoloSource {
+    let server = TenantServer::new(listener, policy(idle), TenantLimits::default());
+    SoloSource::new(match drain {
+        Some(flag) => server.with_drain_flag(flag),
+        None => server,
+    })
+}
+
 /// Unique Unix-socket path per test invocation.
 fn unix_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("impress-sock-{}-{tag}.sock", std::process::id()))
@@ -101,13 +113,9 @@ fn spawn_daemon(
     let bound = listener.local_endpoint().unwrap();
     let configuration = Configuration::unprotected();
     let handle = thread::spawn(move || {
-        let mut source = SocketSource::new(listener, policy(idle));
-        if let Some(flag) = drain {
-            source = source.with_drain_flag(flag);
-        }
         let mut checkpoints = Vec::new();
         let report = supervise(
-            source,
+            solo(listener, idle, drain),
             &configuration,
             &opts(shard_threads, resume_from),
             &mut |cp| {
@@ -120,15 +128,14 @@ fn spawn_daemon(
     (bound, handle)
 }
 
-fn send_all(endpoint: &Endpoint, bytes: &[u8], idle: Duration) {
-    let mut input = MemInput::new(bytes.to_vec());
+fn send_all(endpoint: &Endpoint, input: &mut impl SendInput, len: usize, idle: Duration) {
     let options = SendOptions {
         policy: policy(idle),
         ..SendOptions::default()
     };
-    let outcome = send_to(endpoint, &mut input, &options).expect("delivery must complete");
+    let outcome = send_to(endpoint, input, &options).expect("delivery must complete");
     assert!(outcome.complete, "FIN must be acked");
-    assert_eq!(outcome.acked, bytes.len() as u64);
+    assert_eq!(outcome.acked, len as u64);
 }
 
 #[test]
@@ -150,7 +157,8 @@ fn tcp_and_unix_verdicts_match_file_ingest_at_every_thread_count() {
         for endpoint in [Endpoint::Tcp("127.0.0.1:0".to_string()), unix] {
             let (bound, daemon) =
                 spawn_daemon(&endpoint, threads, None, Duration::from_secs(5), None);
-            send_all(&bound, &bytes, Duration::from_secs(5));
+            let mut input = MemInput::new(bytes.clone());
+            send_all(&bound, &mut input, bytes.len(), Duration::from_secs(5));
             let (report, _) = daemon.join().expect("daemon must not panic");
             let verdict = report.unwrap().verdict.to_json_extended();
             assert_eq!(
@@ -166,7 +174,7 @@ fn tcp_and_unix_verdicts_match_file_ingest_at_every_thread_count() {
 /// bytes have been served — `supervise` dies exactly as if the daemon process
 /// were SIGKILLed mid-stream, with the listener torn down.
 struct DyingSource {
-    inner: SocketSource,
+    inner: SoloSource,
     served: u64,
     cut_at: u64,
 }
@@ -191,6 +199,31 @@ impl TraceSource for DyingSource {
     }
 }
 
+/// Holds back end-of-input until the daemon has crashed. The server acks
+/// bytes as it commits them, ahead of its consumer, so without the hold the
+/// client could send FIN and finish against the doomed daemon before the
+/// cut, leaving nothing for the restarted one to resume.
+struct EofAfterCrash {
+    inner: MemInput,
+    crashed: Option<mpsc::Receiver<()>>,
+}
+
+impl SendInput for EofAfterCrash {
+    fn seek_to(&mut self, offset: u64) -> io::Result<()> {
+        self.inner.seek_to(offset)
+    }
+
+    fn read_more(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read_more(buf)?;
+        if n == 0 {
+            if let Some(crashed) = self.crashed.take() {
+                let _ = crashed.recv();
+            }
+        }
+        Ok(n)
+    }
+}
+
 #[test]
 fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     let bytes = sample_trace();
@@ -209,7 +242,8 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     let path = unix_path("ckpt");
     let endpoint = Endpoint::Unix(path.clone());
     let (bound, daemon) = spawn_daemon(&endpoint, 2, None, Duration::from_secs(5), None);
-    send_all(&bound, &bytes, Duration::from_secs(5));
+    let mut input = MemInput::new(bytes.clone());
+    send_all(&bound, &mut input, bytes.len(), Duration::from_secs(5));
     let (report, checkpoints) = daemon.join().expect("daemon must not panic");
     report.unwrap();
     assert!(
@@ -227,7 +261,7 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
         let crashing = thread::spawn(move || {
             supervise(
                 DyingSource {
-                    inner: SocketSource::new(listener, policy(Duration::from_secs(5))),
+                    inner: solo(listener, Duration::from_secs(5), None),
                     served: 0,
                     cut_at: cp.source_offset,
                 },
@@ -239,14 +273,21 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
 
         let client_endpoint = endpoint.clone();
         let client_bytes = bytes.clone();
+        let (crash_tx, crash_rx) = mpsc::channel();
         let client = thread::spawn(move || {
             // Generous downtime budget: the client must ride out the crash
             // and the restart below.
-            send_all(&client_endpoint, &client_bytes, Duration::from_secs(15));
+            let len = client_bytes.len();
+            let mut input = EofAfterCrash {
+                inner: MemInput::new(client_bytes),
+                crashed: Some(crash_rx),
+            };
+            send_all(&client_endpoint, &mut input, len, Duration::from_secs(15));
         });
 
         let crashed = crashing.join().expect("crashing daemon must not panic");
         assert!(crashed.is_err(), "the cut source must kill the first run");
+        crash_tx.send(()).unwrap();
 
         let (_, daemon) = spawn_daemon(&endpoint, 2, Some(cp), Duration::from_secs(5), None);
         client.join().expect("client must not panic");
@@ -343,7 +384,7 @@ fn strict_mode_decode_errors_over_sockets_report_offset_and_frame() {
     let listener = Listener::bind(&endpoint).unwrap();
     let bound = listener.local_endpoint().unwrap();
     let server = thread::spawn(move || {
-        let source = SocketSource::new(listener, policy(Duration::from_secs(5)));
+        let source = solo(listener, Duration::from_secs(5), None);
         TraceReader::with_mode(source, DecodeMode::Strict)
             .and_then(|mut r| r.read_all())
             .expect_err("corruption must fail a strict decode over the socket")

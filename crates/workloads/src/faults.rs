@@ -1353,8 +1353,8 @@ mod tests {
     // --- connection-level faults ---
 
     use crate::transport::{
-        send_stream, Endpoint, Listener, MemInput, SendOptions, SocketSource, SocketTuning,
-        WireLink,
+        send_stream, Endpoint, Listener, MemInput, SendOptions, SocketTuning, SoloSource,
+        TenantLimits, TenantServer, WireLink,
     };
     use std::thread;
     use std::time::Duration;
@@ -1367,8 +1367,9 @@ mod tests {
         }
     }
 
-    /// Spawns a loopback TCP server draining every canonical byte, returning
-    /// the bound endpoint and the collector handle.
+    /// Spawns a loopback TCP server — a one-tenant `TenantServer` — draining
+    /// every canonical byte, returning the bound endpoint and the collector
+    /// handle.
     fn byte_server(idle: Duration) -> (Endpoint, thread::JoinHandle<Vec<u8>>) {
         let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).unwrap();
         let endpoint = listener.local_endpoint().unwrap();
@@ -1377,10 +1378,12 @@ mod tests {
             ..fast_policy()
         };
         let handle = thread::spawn(move || {
-            let mut src = SocketSource::new(listener, policy).with_tuning(SocketTuning {
+            let limits = TenantLimits::default();
+            let server = TenantServer::new(listener, policy, limits).with_tuning(SocketTuning {
                 ack_every: 1024,
                 ..SocketTuning::default()
             });
+            let mut src = SoloSource::new(server);
             let mut out = Vec::new();
             while let Some(chunk) = src.next_chunk().unwrap() {
                 out.extend_from_slice(chunk);

@@ -50,10 +50,13 @@
 //! committed offset is a protocol violation: the server drops the connection
 //! and the client reconnects and reseeks, which heals the gap.
 
+use std::collections::VecDeque;
+use std::ffi::c_ulong;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -241,9 +244,16 @@ impl Wire {
             Wire::Unix(s) => s.shutdown(std::net::Shutdown::Write),
         }
     }
+
+    fn raw_fd(&self) -> RawFd {
+        match self {
+            Wire::Tcp(s) => s.as_raw_fd(),
+            Wire::Unix(s) => s.as_raw_fd(),
+        }
+    }
 }
 
-/// A bound, non-blocking accept socket for [`SocketSource`].
+/// A bound, non-blocking accept socket for [`TenantServer`].
 #[derive(Debug)]
 pub enum Listener {
     /// Bound TCP listener.
@@ -289,21 +299,25 @@ impl Listener {
         }
     }
 
+    /// Accepts one queued connection, non-blocking like the listener;
+    /// `Ok(None)` when none is queued.
     fn accept(&self) -> io::Result<Option<Wire>> {
-        let wire = match self {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Wire::Tcp(s),
-                Err(e) if is_timeout(&e) => return Ok(None),
-                Err(e) => return Err(e),
-            },
-            Listener::Unix(l, _) => match l.accept() {
-                Ok((s, _)) => Wire::Unix(s),
-                Err(e) if is_timeout(&e) => return Ok(None),
-                Err(e) => return Err(e),
-            },
+        let accepted = match self {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Wire::Tcp(s)),
+            Listener::Unix(l, _) => l.accept().map(|(s, _)| Wire::Unix(s)),
         };
-        wire.set_nonblocking(false)?;
-        Ok(Some(wire))
+        match accepted.and_then(|wire| wire.set_nonblocking(true).map(|()| wire)) {
+            Ok(wire) => Ok(Some(wire)),
+            Err(e) if is_timeout(&e) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        }
     }
 }
 
@@ -352,7 +366,7 @@ fn data_frame(offset: u64, payload: &[u8]) -> Vec<u8> {
     b
 }
 
-/// Tuning knobs for [`SocketSource`] beyond the reconnect policy.
+/// Tuning knobs for [`TenantServer`] beyond the reconnect policy.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketTuning {
     /// Send an ACK each time this many new canonical bytes commit.
@@ -422,459 +436,6 @@ fn parse_frame(b: &[u8]) -> Result<Option<(Frame, usize)>, ()> {
             Ok(Some((Frame::Fin { total }, 9)))
         }
         _ => Err(()),
-    }
-}
-
-struct ServerConn {
-    wire: Wire,
-    session: u64,
-    rbuf: Vec<u8>,
-    rat: usize,
-    idle: Duration,
-    last_ack: u64,
-}
-
-impl ServerConn {
-    fn new(wire: Wire, session: u64, committed: u64) -> Self {
-        Self {
-            wire,
-            session,
-            rbuf: Vec::with_capacity(64 * 1024),
-            rat: 0,
-            idle: Duration::ZERO,
-            last_ack: committed,
-        }
-    }
-
-    fn avail(&self) -> usize {
-        self.rbuf.len() - self.rat
-    }
-
-    /// Parses one complete frame at the cursor, if buffered. For DATA the
-    /// returned range indexes `rbuf` and stays valid until the next
-    /// `read_more` (which compacts). `Err(())` is a protocol violation.
-    fn try_frame(&mut self) -> Result<Option<Frame>, ()> {
-        match parse_frame(&self.rbuf[self.rat..])? {
-            None => Ok(None),
-            Some((mut frame, consumed)) => {
-                if let Frame::Data { start, .. } = &mut frame {
-                    *start += self.rat;
-                }
-                self.rat += consumed;
-                Ok(Some(frame))
-            }
-        }
-    }
-
-    /// Compacts consumed bytes, then appends whatever arrives within
-    /// `timeout`. `Ok(0)` is EOF; timeouts surface as `WouldBlock`/`TimedOut`.
-    fn read_more(&mut self, timeout: Duration) -> io::Result<usize> {
-        if self.rat > 0 {
-            self.rbuf.drain(..self.rat);
-            self.rat = 0;
-        }
-        self.wire.set_read_timeout(Some(timeout))?;
-        let mut scratch = [0u8; 16 * 1024];
-        let n = self.wire.read(&mut scratch)?;
-        self.rbuf.extend_from_slice(&scratch[..n]);
-        Ok(n)
-    }
-
-    fn send_ack(&mut self, committed: u64) -> io::Result<()> {
-        self.last_ack = committed;
-        self.wire.write_all(&tagged_u64(TAG_ACK, committed))
-    }
-}
-
-/// A [`TraceSource`] fed by a socket accept loop with session resume.
-///
-/// The source owns a bound [`Listener`] and supervises one producer
-/// connection at a time: handshake (offset negotiation), per-read timeouts
-/// with heartbeat/idle detection, dedup-by-offset so retransmitted bytes
-/// never reach the codec twice, acks every [`SocketTuning::ack_every`]
-/// committed bytes, and accept-loop reconnect supervision driven by
-/// [`FollowPolicy`]'s capped exponential backoff. Staging is bounded by one
-/// DATA frame ([`MAX_DATA_BYTES`]).
-///
-/// Every disconnect, stall, resumed session, duplicate drop, and graceful
-/// drain is recorded as a [`TransportEvent`] and drained via
-/// [`TraceSource::take_transport_events`].
-#[derive(Debug)]
-pub struct SocketSource {
-    listener: Listener,
-    policy: FollowPolicy,
-    tuning: SocketTuning,
-    #[allow(clippy::struct_field_names)]
-    conn: Option<ServerConnBox>,
-    stage: Vec<u8>,
-    events: Vec<TransportEvent>,
-    committed: u64,
-    sessions: u64,
-    finished: bool,
-    drained: bool,
-    drain: Option<&'static AtomicBool>,
-}
-
-// Keeps SocketSource's Debug derive happy without exposing conn internals.
-struct ServerConnBox(ServerConn);
-
-impl fmt::Debug for ServerConnBox {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServerConn")
-            .field("session", &self.0.session)
-            .field("buffered", &self.0.avail())
-            .finish()
-    }
-}
-
-impl SocketSource {
-    /// Wraps a bound listener with reconnect policy `policy`.
-    pub fn new(listener: Listener, policy: FollowPolicy) -> Self {
-        Self {
-            listener,
-            policy,
-            tuning: SocketTuning::default(),
-            conn: None,
-            stage: Vec::new(),
-            events: Vec::new(),
-            committed: 0,
-            sessions: 0,
-            finished: false,
-            drained: false,
-            drain: None,
-        }
-    }
-
-    /// Overrides ack cadence / handshake deadline.
-    #[must_use]
-    pub fn with_tuning(mut self, tuning: SocketTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Installs a drain flag: once it reads `true`, the source sends a
-    /// protocol GOODBYE to any connected client and reports end-of-stream,
-    /// letting the daemon finish the in-flight batch and emit its verdict.
-    /// (`&'static` so a signal handler can own the flag; leak one with
-    /// `Box::leak` in tests.)
-    #[must_use]
-    pub fn with_drain_flag(mut self, flag: &'static AtomicBool) -> Self {
-        self.drain = Some(flag);
-        self
-    }
-
-    /// The endpoint actually bound (resolves TCP port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `local_addr` errors.
-    pub fn local_endpoint(&self) -> io::Result<Endpoint> {
-        self.listener.local_endpoint()
-    }
-
-    /// Canonical bytes committed (delivered to the codec) so far.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// Number of producer sessions accepted so far.
-    pub fn sessions(&self) -> u64 {
-        self.sessions
-    }
-
-    fn drain_requested(&self) -> bool {
-        self.drain.is_some_and(|f| f.load(Ordering::SeqCst))
-    }
-
-    fn poll_interval(&self) -> Duration {
-        (self.policy.idle_limit / 50).clamp(Duration::from_millis(1), Duration::from_millis(25))
-    }
-
-    fn drop_conn(&mut self, reason: DisconnectReason) {
-        if let Some(conn) = self.conn.take() {
-            let _ = conn.0.wire.shutdown();
-            self.events.push(TransportEvent::Disconnected {
-                session: conn.0.session,
-                offset: self.committed,
-                reason,
-            });
-        }
-    }
-
-    fn goodbye(&mut self) {
-        if let Some(mut conn) = self.conn.take() {
-            let _ = conn
-                .0
-                .wire
-                .write_all(&tagged_u64(TAG_GOODBYE, self.committed));
-            let _ = conn.0.wire.shutdown();
-        }
-        if !self.drained {
-            self.drained = true;
-            self.events.push(TransportEvent::Drained {
-                offset: self.committed,
-            });
-        }
-        self.finished = true;
-    }
-
-    /// Waits for a producer to connect and complete the handshake. Returns
-    /// `false` on idle-out (no producer within `idle_limit`) or when a drain
-    /// was requested mid-wait.
-    fn accept_session(&mut self) -> io::Result<bool> {
-        let mut idle = Duration::ZERO;
-        let mut backoff = self.policy.initial_backoff;
-        loop {
-            if self.drain_requested() {
-                return Ok(false);
-            }
-            match self.listener.accept()? {
-                Some(wire) => {
-                    self.sessions += 1;
-                    let session = self.sessions;
-                    match self.handshake_server(wire, session) {
-                        Ok(conn) => {
-                            if session > 1 || self.committed > 0 {
-                                self.events.push(TransportEvent::SessionResumed {
-                                    session,
-                                    offset: self.committed,
-                                });
-                            }
-                            self.conn = Some(ServerConnBox(conn));
-                            return Ok(true);
-                        }
-                        Err(reason) => {
-                            self.events.push(TransportEvent::Disconnected {
-                                session,
-                                offset: self.committed,
-                                reason,
-                            });
-                            // Keep waiting for a well-behaved producer.
-                        }
-                    }
-                }
-                None => {
-                    if idle >= self.policy.idle_limit {
-                        return Ok(false);
-                    }
-                    std::thread::sleep(backoff);
-                    idle += backoff;
-                    backoff = (backoff * 2).min(self.policy.max_backoff);
-                }
-            }
-        }
-    }
-
-    /// Reads and validates the 16-byte HELLO, replies with the committed
-    /// offset. On failure returns the disconnect reason for the ledger.
-    fn handshake_server(
-        &self,
-        mut wire: Wire,
-        session: u64,
-    ) -> Result<ServerConn, DisconnectReason> {
-        let mut hello = [0u8; HANDSHAKE_BYTES];
-        let mut got = 0;
-        let deadline = Instant::now() + self.tuning.handshake_timeout;
-        let poll = self.poll_interval();
-        while got < HANDSHAKE_BYTES {
-            if wire.set_read_timeout(Some(poll)).is_err() {
-                return Err(DisconnectReason::Io);
-            }
-            match wire.read(&mut hello[got..]) {
-                Ok(0) => return Err(DisconnectReason::Eof),
-                Ok(n) => got += n,
-                Err(e) if is_timeout(&e) => {
-                    if Instant::now() >= deadline {
-                        return Err(DisconnectReason::Stall);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(DisconnectReason::Io),
-            }
-        }
-        if hello[..4] != HELLO_MAGIC {
-            return Err(DisconnectReason::Protocol);
-        }
-        let version = u16::from_le_bytes(hello[4..6].try_into().unwrap());
-        if version != TRANSPORT_VERSION {
-            let _ = wire.write_all(&reply_bytes(STATUS_BAD_VERSION, self.committed, 0));
-            return Err(DisconnectReason::Protocol);
-        }
-        // A single-pipeline source serves exactly one tenant: echo a
-        // presented token, or assign 1 to a fresh producer.
-        let tenant = u64::from_le_bytes(hello[16..24].try_into().unwrap()).max(1);
-        if wire
-            .write_all(&reply_bytes(STATUS_OK, self.committed, tenant))
-            .is_err()
-        {
-            return Err(DisconnectReason::Io);
-        }
-        Ok(ServerConn::new(wire, session, self.committed))
-    }
-
-    /// Commits one DATA frame: trims or drops bytes the server already
-    /// committed, stages the new suffix. Returns `true` if bytes were staged.
-    fn stage_data(&mut self, offset: u64, start: usize, len: usize) -> bool {
-        let Self {
-            conn,
-            stage,
-            events,
-            committed,
-            tuning,
-            ..
-        } = self;
-        let conn = &mut conn.as_mut().expect("connection present").0;
-        let Some(end) = offset.checked_add(len as u64) else {
-            // Offset arithmetic overflow is a protocol violation.
-            drop_conn_inline(conn, events, *committed, DisconnectReason::Protocol);
-            self.conn = None;
-            return false;
-        };
-        if offset > *committed {
-            // A gap means lost bytes we never acked: force a reconnect so the
-            // client reseeks to the committed offset.
-            drop_conn_inline(conn, events, *committed, DisconnectReason::Protocol);
-            self.conn = None;
-            return false;
-        }
-        let skip = (*committed - offset) as usize;
-        if skip >= len {
-            events.push(TransportEvent::DuplicateDropped {
-                session: conn.session,
-                offset: *committed,
-                bytes: len as u64,
-            });
-            // Re-ack so a client that missed the original ack advances.
-            if conn.send_ack(*committed).is_err() {
-                drop_conn_inline(conn, events, *committed, DisconnectReason::Io);
-                self.conn = None;
-            }
-            return false;
-        }
-        if skip > 0 {
-            events.push(TransportEvent::DuplicateDropped {
-                session: conn.session,
-                offset: *committed,
-                bytes: skip as u64,
-            });
-        }
-        stage.clear();
-        stage.extend_from_slice(&conn.rbuf[start + skip..start + len]);
-        *committed = end;
-        let ack_due = *committed - conn.last_ack >= tuning.ack_every;
-        if ack_due && conn.send_ack(*committed).is_err() {
-            drop_conn_inline(conn, events, *committed, DisconnectReason::Io);
-            self.conn = None;
-        }
-        true
-    }
-
-    fn handle_fin(&mut self, total: u64) {
-        if total == self.committed {
-            if let Some(conn) = self.conn.as_mut() {
-                let _ = conn.0.send_ack(total);
-            }
-            self.conn = None;
-            self.finished = true;
-        } else {
-            // The client believes a different amount was delivered; force a
-            // resync through reconnect.
-            self.drop_conn(DisconnectReason::Protocol);
-        }
-    }
-
-    fn pump(&mut self) -> io::Result<()> {
-        let poll = self.poll_interval();
-        let idle_limit = self.policy.idle_limit;
-        let committed = self.committed;
-        let reason = {
-            let conn = &mut self.conn.as_mut().expect("connection present").0;
-            match conn.read_more(poll) {
-                Ok(0) => Some(DisconnectReason::Eof),
-                Ok(_) => {
-                    conn.idle = Duration::ZERO;
-                    None
-                }
-                Err(e) if is_timeout(&e) => {
-                    conn.idle += poll;
-                    // A quiet producer may be blocked on flow control with a
-                    // send window smaller than our ack cadence; flush the ack
-                    // for whatever is committed so it can make progress.
-                    if committed > conn.last_ack {
-                        let _ = conn.send_ack(committed);
-                    }
-                    if conn.idle >= idle_limit {
-                        Some(DisconnectReason::Stall)
-                    } else {
-                        None
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
-                Err(_) => Some(DisconnectReason::Io),
-            }
-        };
-        if let Some(reason) = reason {
-            self.drop_conn(reason);
-        }
-        Ok(())
-    }
-}
-
-fn drop_conn_inline(
-    conn: &mut ServerConn,
-    events: &mut Vec<TransportEvent>,
-    committed: u64,
-    reason: DisconnectReason,
-) {
-    let _ = conn.wire.shutdown();
-    events.push(TransportEvent::Disconnected {
-        session: conn.session,
-        offset: committed,
-        reason,
-    });
-}
-
-impl TraceSource for SocketSource {
-    fn next_chunk(&mut self) -> io::Result<Option<&[u8]>> {
-        loop {
-            if self.drain_requested() && !self.finished {
-                self.goodbye();
-                return Ok(None);
-            }
-            if self.finished {
-                return Ok(None);
-            }
-            if self.conn.is_none() {
-                if self.accept_session()? {
-                    continue;
-                }
-                if self.drain_requested() {
-                    continue; // goodbye at loop top
-                }
-                return Ok(None); // idled out with no producer
-            }
-            let parsed = self
-                .conn
-                .as_mut()
-                .expect("connection present")
-                .0
-                .try_frame();
-            match parsed {
-                Ok(Some(Frame::Data { offset, start, len })) => {
-                    if self.stage_data(offset, start, len) {
-                        return Ok(Some(&self.stage));
-                    }
-                }
-                Ok(Some(Frame::Heartbeat)) => {}
-                Ok(Some(Frame::Fin { total })) => self.handle_fin(total),
-                Ok(None) => self.pump()?,
-                Err(()) => self.drop_conn(DisconnectReason::Protocol),
-            }
-        }
-    }
-
-    fn take_transport_events(&mut self) -> Vec<TransportEvent> {
-        std::mem::take(&mut self.events)
     }
 }
 
@@ -1648,8 +1209,8 @@ impl Default for TenantLimits {
 /// The simulator side implements this by binding each tenant to its own
 /// ingest pipeline (own `System`, fault ledger, checkpoint file, verdict).
 /// The server guarantees `data` for a tenant carries exactly its canonical
-/// byte stream, in order, deduplicated — identical to what a solo
-/// [`SocketSource`] would deliver for that producer.
+/// byte stream, in order, deduplicated — identical to what the producer
+/// would deliver if it were the only one connected.
 pub trait TenantSink {
     /// A new tenant was admitted. An error refuses the admission (the
     /// producer gets a BUSY reject).
@@ -1685,7 +1246,7 @@ pub trait TenantSink {
 pub enum ServerPoll {
     /// Work was done; poll again immediately.
     Busy,
-    /// Nothing to do right now; sleep briefly before the next poll.
+    /// Nothing to do right now; [`TenantServer::wait`] before the next poll.
     Idle,
     /// The server finished: drained on request, or idled out with every
     /// admitted tenant closed.
@@ -1733,6 +1294,38 @@ struct MultiConn {
     rat: usize,
     last_read: Instant,
     last_ack: u64,
+    /// Held back by the staging budget in the last round: not read, and
+    /// left out of [`TenantServer::wait`]'s readiness set.
+    throttled: bool,
+}
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+/// `poll(2)` event: a listener has a queued connection, or a stream has
+/// bytes or EOF to read.
+const POLLIN: i16 = 0x001;
+
+extern "C" {
+    // Raw `poll(2)`, declared here like `signal(2)` in the `trace` binary so
+    // the crate needs no libc dependency; Linux's `nfds_t` is `unsigned long`.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: i32) -> i32;
+}
+
+/// Maps a `poll(2)` return code and the `errno` read after it to a ready
+/// count. A signal interrupting the wait (`EINTR`) is a wake with nothing
+/// ready; any other failure is an error.
+fn ready_count(rc: i32, errno: io::Error) -> io::Result<usize> {
+    match usize::try_from(rc) {
+        Ok(ready) => Ok(ready),
+        Err(_) if errno.kind() == io::ErrorKind::Interrupted => Ok(0),
+        Err(_) => Err(errno),
+    }
 }
 
 /// Per-tenant serving state (survives reconnects; one per token).
@@ -1751,11 +1344,12 @@ struct TenantMeta {
 /// A poll-based multi-tenant accept loop: many concurrent producer
 /// sessions, each bound to its own tenant pipeline through a [`TenantSink`].
 ///
-/// Replaces [`SocketSource`]'s one-session-at-a-time supervision for
-/// listening daemons. Every connection runs a non-blocking state machine
-/// (pending handshake → live session); per-tenant commit/dedup logic is
-/// identical to the solo path, so each tenant's canonical byte stream — and
-/// therefore its verdict — is independent of whoever else is connected.
+/// This is the one server behind listening daemons. Every connection runs
+/// a non-blocking state machine (pending handshake → live session) with
+/// per-tenant commit/dedup state, so each tenant's canonical byte stream —
+/// and therefore its verdict — is independent of whoever else is connected.
+/// Between idle rounds the server blocks in [`TenantServer::wait`] until a
+/// socket is ready.
 ///
 /// Robustness machinery: admission control with typed BUSY rejects
 /// ([`TenantLimits::max_clients`], bounded pending-accept queue), per-tenant
@@ -1828,7 +1422,8 @@ impl TenantServer {
         self.tenants.len()
     }
 
-    /// Recommended sleep between [`ServerPoll::Idle`] polls.
+    /// The longest [`TenantServer::wait`] blocks: how often deadlines, the
+    /// drain flag and throttled tenants are rechecked while nothing is ready.
     pub fn poll_interval(&self) -> Duration {
         (self.policy.idle_limit / 50).clamp(Duration::from_millis(1), Duration::from_millis(25))
     }
@@ -1837,9 +1432,44 @@ impl TenantServer {
         self.drain.is_some_and(|f| f.load(Ordering::SeqCst))
     }
 
+    /// Blocks in `poll(2)` until the listener has a queued connection, a
+    /// pending handshake or an unthrottled live session has bytes (or EOF)
+    /// to read, or [`TenantServer::poll_interval`] elapses. Throttled
+    /// sessions are left out: their unread bytes would end every wait at
+    /// once and spin the loop while the staging budget is blown.
+    ///
+    /// Returns the ready count `poll(2)` reported: 0 on timeout, or when a
+    /// signal interrupted the wait (`EINTR`).
+    ///
+    /// # Errors
+    ///
+    /// Any other `poll(2)` failure.
+    pub fn wait(&self) -> io::Result<usize> {
+        let mut fds: Vec<PollFd> = std::iter::once(self.listener.raw_fd())
+            .chain(self.pending.iter().map(|p| p.wire.raw_fd()))
+            .chain(
+                self.conns
+                    .iter()
+                    .filter(|c| !c.throttled)
+                    .map(|c| c.wire.raw_fd()),
+            )
+            .map(|fd| PollFd {
+                fd,
+                events: POLLIN,
+                revents: 0,
+            })
+            .collect();
+        // `poll_interval` is clamped to 1..=25 ms, so the cast is exact.
+        let timeout_ms = self.poll_interval().as_millis() as i32;
+        // SAFETY: `fds` is a live array of `fds.len()` pollfd structs, and
+        // poll(2) writes only their `revents` fields.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+        ready_count(rc, io::Error::last_os_error())
+    }
+
     /// Runs one non-blocking round of the accept/handshake/session state
-    /// machines. Call in a loop, sleeping [`TenantServer::poll_interval`]
-    /// between [`ServerPoll::Idle`] rounds, until [`ServerPoll::Done`].
+    /// machines. Call in a loop, blocking in [`TenantServer::wait`] after
+    /// each [`ServerPoll::Idle`] round, until [`ServerPoll::Done`].
     ///
     /// # Errors
     ///
@@ -1877,17 +1507,11 @@ impl TenantServer {
     /// typed BUSY reject before any handshake bytes are read.
     fn accept_new(&mut self) -> io::Result<bool> {
         let mut active = false;
-        while let Some(wire) = self.listener.accept()? {
+        while let Some(mut wire) = self.listener.accept()? {
             active = true;
             self.last_activity = Instant::now();
             if self.pending.len() >= self.limits.max_pending {
-                let mut wire = wire;
-                let _ = wire.set_nonblocking(true);
                 let _ = write_now(&mut wire, &reply_bytes(STATUS_BUSY, 0, 0));
-                let _ = wire.shutdown();
-                continue;
-            }
-            if wire.set_nonblocking(true).is_err() {
                 let _ = wire.shutdown();
                 continue;
             }
@@ -2030,16 +1654,23 @@ impl TenantServer {
             );
         }
         // A reconnect supersedes any stale connection still bound to the
-        // same tenant (e.g. after a half-dead network partition).
+        // same tenant (e.g. after a half-dead network partition). A producer
+        // that closed before redialing left an EOF this round has not read
+        // yet; that session ended, it did not stall.
         if let Some(at) = self.conns.iter().position(|c| c.tenant == tenant) {
-            let old = self.conns.swap_remove(at);
+            let mut old = self.conns.swap_remove(at);
+            let reason = if peer_closed(&mut old.wire) {
+                DisconnectReason::Eof
+            } else {
+                DisconnectReason::Stall
+            };
             let _ = old.wire.shutdown();
             sink.event(
                 tenant,
                 TransportEvent::Disconnected {
                     session: old.session,
                     offset: committed,
-                    reason: DisconnectReason::Stall,
+                    reason,
                 },
             );
         }
@@ -2051,6 +1682,7 @@ impl TenantServer {
             rat: 0,
             last_read: Instant::now(),
             last_ack: committed,
+            throttled: false,
         });
     }
 
@@ -2070,6 +1702,16 @@ impl TenantServer {
             // their fair share. Throttling the heaviest producers first
             // sheds load without ever dropping a committed record.
             let throttled = over_budget && sink.staged(tenant) > fair_share;
+            conn.throttled = throttled;
+            if throttled {
+                // Time held back is neither idleness nor a stall: restart
+                // both eviction clocks.
+                conn.last_read = Instant::now();
+                self.tenants
+                    .get_mut(&tenant)
+                    .expect("tenant bound")
+                    .last_progress = Instant::now();
+            }
             let mut eof = false;
             let mut io_dead = false;
             if !throttled {
@@ -2177,8 +1819,7 @@ impl TenantServer {
                     fate = Some(DisconnectReason::Io);
                 } else if conn.last_read.elapsed() >= self.policy.idle_limit {
                     fate = Some(DisconnectReason::Stall);
-                } else if !throttled
-                    && !self.limits.stall_limit.is_zero()
+                } else if !self.limits.stall_limit.is_zero()
                     && meta.last_progress.elapsed() >= self.limits.stall_limit
                 {
                     // Slow-loris: the session is alive (heartbeats keep it
@@ -2298,6 +1939,107 @@ impl TenantServer {
     }
 }
 
+/// Whether the peer of a non-blocking wire has closed: discards up to
+/// 256 KiB of unread bytes looking for EOF.
+fn peer_closed(wire: &mut Wire) -> bool {
+    let mut scratch = [0u8; 16 * 1024];
+    for _ in 0..16 {
+        match wire.read(&mut scratch) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+    false
+}
+
+/// A one-tenant [`TenantServer`] pulled as a [`TraceSource`].
+///
+/// Drives the server on the calling thread, blocking in
+/// [`TenantServer::wait`] between idle rounds, and yields the first admitted
+/// tenant's committed stream; any other tenant is refused with BUSY. The
+/// stream ends when that tenant closes — FIN acknowledged, drain, quarantine,
+/// or its producer gone past the idle limit — or when the server idles out.
+#[derive(Debug)]
+pub struct SoloSource {
+    server: TenantServer,
+    sink: SoloSink,
+    chunk: Vec<u8>,
+}
+
+/// The [`TenantSink`] behind [`SoloSource`]: a queue of committed chunks.
+#[derive(Debug, Default)]
+struct SoloSink {
+    admitted: bool,
+    chunks: VecDeque<Vec<u8>>,
+    events: Vec<TransportEvent>,
+    ended: bool,
+}
+
+impl TenantSink for SoloSink {
+    fn open(&mut self, _tenant: u64) -> io::Result<()> {
+        if std::mem::replace(&mut self.admitted, true) {
+            return Err(io::Error::new(io::ErrorKind::AddrInUse, "one tenant only"));
+        }
+        Ok(())
+    }
+
+    fn data(&mut self, _tenant: u64, bytes: &[u8]) -> io::Result<()> {
+        self.chunks.push_back(bytes.to_vec());
+        Ok(())
+    }
+
+    fn event(&mut self, _tenant: u64, event: TransportEvent) {
+        self.events.push(event);
+    }
+
+    fn close(&mut self, _tenant: u64) {
+        self.ended = true;
+    }
+
+    fn staged(&self, _tenant: u64) -> u64 {
+        // The source hands out every queued chunk before it polls again.
+        0
+    }
+}
+
+impl SoloSource {
+    /// Serves the first tenant `server` admits.
+    pub fn new(server: TenantServer) -> Self {
+        Self {
+            server,
+            sink: SoloSink::default(),
+            chunk: Vec::new(),
+        }
+    }
+}
+
+impl TraceSource for SoloSource {
+    fn next_chunk(&mut self) -> io::Result<Option<&[u8]>> {
+        loop {
+            if let Some(chunk) = self.sink.chunks.pop_front() {
+                self.chunk = chunk;
+                return Ok(Some(&self.chunk));
+            }
+            if self.sink.ended {
+                return Ok(None);
+            }
+            match self.server.poll(&mut self.sink)? {
+                ServerPoll::Busy => {}
+                ServerPoll::Idle => {
+                    self.server.wait()?;
+                }
+                ServerPoll::Done => self.sink.ended = true,
+            }
+        }
+    }
+
+    fn take_transport_events(&mut self) -> Vec<TransportEvent> {
+        std::mem::take(&mut self.sink.events)
+    }
+}
+
 /// How committing one DATA frame for a tenant went.
 enum CommitOutcome {
     /// New bytes were committed and delivered to the sink.
@@ -2314,8 +2056,8 @@ enum CommitOutcome {
 
 /// Commits one DATA frame for a tenant: trims or drops bytes the server
 /// already committed, forwards the new suffix to the sink, acks on cadence.
-/// Mirrors [`SocketSource::stage_data`] so a tenant's canonical stream is
-/// identical to the solo path.
+/// Commit state is per tenant, so a tenant's canonical stream never depends
+/// on who else is connected.
 fn commit_data(
     meta: &mut TenantMeta,
     conn: &mut MultiConn,
@@ -2405,7 +2147,7 @@ mod tests {
         }
     }
 
-    fn drain_all(src: &mut SocketSource) -> Vec<u8> {
+    fn drain_all(src: &mut SoloSource) -> Vec<u8> {
         let mut out = Vec::new();
         while let Some(c) = src.next_chunk().unwrap() {
             out.extend_from_slice(c);
@@ -2440,7 +2182,11 @@ mod tests {
     fn loopback_tcp_roundtrip_with_fin() {
         let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
         let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
+        let mut src = SoloSource::new(TenantServer::new(
+            listener,
+            fast_policy(),
+            TenantLimits::default(),
+        ));
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let expect = payload.clone();
         let client = thread::spawn(move || {
@@ -2466,7 +2212,11 @@ mod tests {
         let path = unix_path("unix-roundtrip");
         let listener = Listener::bind(&Endpoint::Unix(path.clone())).unwrap();
         let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
+        let mut src = SoloSource::new(TenantServer::new(
+            listener,
+            fast_policy(),
+            TenantLimits::default(),
+        ));
         let payload: Vec<u8> = (0..40_000u32).map(|i| (i % 241) as u8).collect();
         let expect = payload.clone();
         let client = thread::spawn(move || {
@@ -2497,7 +2247,11 @@ mod tests {
     fn server_dedups_retransmitted_bytes() {
         let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
         let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
+        let mut src = SoloSource::new(TenantServer::new(
+            listener,
+            fast_policy(),
+            TenantLimits::default(),
+        ));
         let client = thread::spawn(move || {
             let mut link = WireLink::connect(&ep).unwrap();
             let hs = link.handshake(0, 0, Duration::from_secs(5)).unwrap();
@@ -2538,10 +2292,14 @@ mod tests {
         let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
         let ep = listener.local_endpoint().unwrap();
         // Tight ack cadence so session 1 can observe its prefix committing.
-        let mut src = SocketSource::new(listener, fast_policy()).with_tuning(SocketTuning {
-            ack_every: 1024,
-            ..SocketTuning::default()
-        });
+        let mut src = SoloSource::new(
+            TenantServer::new(listener, fast_policy(), TenantLimits::default()).with_tuning(
+                SocketTuning {
+                    ack_every: 1024,
+                    ..SocketTuning::default()
+                },
+            ),
+        );
         let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 239) as u8).collect();
         let expect = payload.clone();
         let client = thread::spawn(move || {
@@ -2558,7 +2316,8 @@ mod tests {
                 }
             }
             drop(link);
-            // Session 2: announce a stale offset; the server's reply wins.
+            // Session 2: rejoin the tenant but announce a stale offset; the
+            // server's reply wins.
             let mut input = MemInput::new(payload);
             send_to(
                 &ep,
@@ -2566,6 +2325,7 @@ mod tests {
                 &SendOptions {
                     policy: fast_policy(),
                     data_bytes: 4096,
+                    tenant: 1,
                     ..SendOptions::default()
                 },
             )
@@ -2597,14 +2357,12 @@ mod tests {
     #[test]
     fn idle_listener_times_out_cleanly() {
         let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let mut src = SocketSource::new(
-            listener,
-            FollowPolicy {
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(5),
-                idle_limit: Duration::from_millis(40),
-            },
-        );
+        let policy = FollowPolicy {
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+            idle_limit: Duration::from_millis(40),
+        };
+        let mut src = SoloSource::new(TenantServer::new(listener, policy, TenantLimits::default()));
         assert!(src.next_chunk().unwrap().is_none());
         assert!(src.take_transport_events().is_empty());
     }
@@ -2614,7 +2372,10 @@ mod tests {
         let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
         let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
         let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy()).with_drain_flag(flag);
+        let mut src = SoloSource::new(
+            TenantServer::new(listener, fast_policy(), TenantLimits::default())
+                .with_drain_flag(flag),
+        );
         let client = thread::spawn(move || {
             let mut link = WireLink::connect(&ep).unwrap();
             link.handshake(0, 0, Duration::from_secs(5)).unwrap();
@@ -2647,7 +2408,11 @@ mod tests {
     fn follow_mode_sender_fins_after_input_goes_idle() {
         let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
         let ep = listener.local_endpoint().unwrap();
-        let mut src = SocketSource::new(listener, fast_policy());
+        let mut src = SoloSource::new(TenantServer::new(
+            listener,
+            fast_policy(),
+            TenantLimits::default(),
+        ));
         let client = thread::spawn(move || {
             let mut input = MemInput::new(vec![3u8; 2000]);
             send_to(
@@ -2789,6 +2554,9 @@ mod tests {
         data: BTreeMap<u64, Vec<u8>>,
         events: BTreeMap<u64, Vec<TransportEvent>>,
         closed: Vec<u64>,
+        /// Until this instant the pipelines consume nothing: every byte
+        /// delivered so far stays staged.
+        hold_until: Option<Instant>,
     }
 
     impl TenantSink for TestSink {
@@ -2813,8 +2581,13 @@ mod tests {
             self.closed.push(tenant);
         }
 
-        fn staged(&self, _tenant: u64) -> u64 {
-            0
+        fn staged(&self, tenant: u64) -> u64 {
+            match self.hold_until {
+                Some(until) if Instant::now() < until => {
+                    self.data.get(&tenant).map_or(0, |d| d.len() as u64)
+                }
+                _ => 0,
+            }
         }
     }
 
@@ -2822,7 +2595,9 @@ mod tests {
         loop {
             match server.poll(&mut sink).unwrap() {
                 ServerPoll::Busy => {}
-                ServerPoll::Idle => thread::sleep(server.poll_interval()),
+                ServerPoll::Idle => {
+                    server.wait().unwrap();
+                }
                 ServerPoll::Done => return sink,
             }
         }
@@ -3032,5 +2807,146 @@ mod tests {
             );
         }
         assert_eq!(sink.closed.len(), 3);
+    }
+
+    #[test]
+    fn wait_reports_each_ready_source_and_times_out_when_none_is() {
+        // Unix-domain sockets: a connect or write has reached the server
+        // side by the time it returns, so every ready count is exact.
+        let path = unix_path("wait-ready");
+        let endpoint = Endpoint::Unix(path);
+        let listener = Listener::bind(&endpoint).unwrap();
+        let mut server = TenantServer::new(listener, fast_policy(), TenantLimits::default());
+        let mut sink = TestSink::default();
+        assert_eq!(server.wait().unwrap(), 0, "nothing is ready: timeout");
+
+        let mut client = Wire::connect(&endpoint).unwrap();
+        assert_eq!(
+            server.wait().unwrap(),
+            1,
+            "a connection queued on the listener"
+        );
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Busy);
+        assert_eq!(server.wait().unwrap(), 0, "accepted, no HELLO bytes yet");
+
+        let hello = hello_bytes(0, 0);
+        client.write_all(&hello[..8]).unwrap();
+        assert_eq!(server.wait().unwrap(), 1, "a pending handshake with bytes");
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Busy);
+        assert_eq!(server.wait().unwrap(), 0, "half a HELLO, all of it read");
+        client.write_all(&hello[8..]).unwrap();
+        assert_eq!(server.wait().unwrap(), 1);
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Busy);
+        assert_eq!(server.tenants(), 1, "the HELLO completed: admitted");
+
+        assert_eq!(server.wait().unwrap(), 0, "a live session, nothing unread");
+        client.write_all(&data_frame(0, &[4u8; 100])).unwrap();
+        assert_eq!(
+            server.wait().unwrap(),
+            1,
+            "a live session with unread bytes"
+        );
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Busy);
+        assert_eq!(sink.data[&1], vec![4u8; 100]);
+    }
+
+    #[test]
+    fn wait_leaves_throttled_sessions_out_of_the_readiness_set() {
+        let path = unix_path("wait-throttled");
+        let endpoint = Endpoint::Unix(path);
+        let listener = Listener::bind(&endpoint).unwrap();
+        let mut server = TenantServer::new(
+            listener,
+            fast_policy(),
+            TenantLimits {
+                stage_budget: 64,
+                ..TenantLimits::default()
+            },
+        );
+        // The pipeline consumes nothing until the test releases it.
+        let mut sink = TestSink {
+            hold_until: Some(Instant::now() + Duration::from_secs(3600)),
+            ..TestSink::default()
+        };
+        let mut client = Wire::connect(&endpoint).unwrap();
+        client.write_all(&hello_bytes(0, 0)).unwrap();
+        client.write_all(&data_frame(0, &[1u8; 100])).unwrap();
+        while sink.data.get(&1).map_or(0, Vec::len) < 100 {
+            assert_ne!(server.poll(&mut sink).unwrap(), ServerPoll::Done);
+        }
+        // 100 staged bytes blow the 64-byte budget: the next frame stays
+        // unread, and it must not end the wait, or the loop would spin.
+        client.write_all(&data_frame(100, &[2u8; 100])).unwrap();
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Idle);
+        assert_eq!(server.wait().unwrap(), 0);
+        assert_eq!(sink.data[&1].len(), 100);
+        // Released, the same session is read again.
+        sink.hold_until = None;
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Busy);
+        assert_eq!(sink.data[&1].len(), 200);
+    }
+
+    #[test]
+    fn interrupted_wait_is_a_wake_and_other_poll_errors_propagate() {
+        let stale = || io::Error::from(io::ErrorKind::InvalidInput);
+        assert_eq!(ready_count(0, stale()).unwrap(), 0, "timeout");
+        assert_eq!(ready_count(3, stale()).unwrap(), 3, "errno is ignored");
+        let eintr = ready_count(-1, io::Error::from(io::ErrorKind::Interrupted));
+        assert_eq!(eintr.unwrap(), 0, "EINTR counts as a wake");
+        let einval = ready_count(-1, stale());
+        assert_eq!(einval.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn throttled_tenant_is_not_evicted_as_stalled() {
+        // A 1 KiB staging budget, a 400 ms idle limit, and a pipeline that
+        // consumes nothing for 1 s: the tenant stays throttled for longer
+        // than the idle limit and must ride it out on one session.
+        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+        let server = TenantServer::new(
+            listener,
+            quick_policy(),
+            TenantLimits {
+                stage_budget: 1024,
+                ..TenantLimits::default()
+            },
+        );
+        let ep = server.local_endpoint().unwrap();
+        let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+        let expect = payload.clone();
+        let client = thread::spawn(move || {
+            let mut input = MemInput::new(payload);
+            send_to(
+                &ep,
+                &mut input,
+                &SendOptions {
+                    policy: fast_policy(),
+                    ..SendOptions::default()
+                },
+            )
+            .unwrap()
+        });
+        let sink = serve_until_done(
+            server,
+            TestSink {
+                hold_until: Some(Instant::now() + Duration::from_secs(1)),
+                ..TestSink::default()
+            },
+        );
+        let outcome = client.join().unwrap();
+        assert!(outcome.complete);
+        assert_eq!(outcome.sessions, 1, "events: {:?}", sink.events);
+        assert_eq!(sink.data[&1], expect);
+        assert!(
+            !sink.events.values().flatten().any(|e| matches!(
+                e,
+                TransportEvent::Disconnected {
+                    reason: DisconnectReason::Stall,
+                    ..
+                }
+            )),
+            "events: {:?}",
+            sink.events
+        );
     }
 }
