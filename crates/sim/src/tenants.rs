@@ -30,7 +30,7 @@ use std::thread::{Scope, ScopedJoinHandle};
 use impress_workloads::source::{TraceSource, TransportEvent};
 #[allow(unused_imports)] // doc links
 use impress_workloads::transport::TenantLimits;
-use impress_workloads::transport::{ServerPoll, TenantServer, TenantSink};
+use impress_workloads::transport::{ServerPoll, TenantServer, TenantSink, Waker};
 
 use crate::daemon::{supervise, write_checkpoint_durable, Checkpoint, DaemonOptions};
 use crate::runner::Configuration;
@@ -47,13 +47,20 @@ struct ChannelSource {
     buf: Vec<u8>,
     staged: Arc<AtomicU64>,
     events: Arc<Mutex<Vec<TransportEvent>>>,
+    /// Wakes the server after each take: the bytes just taken may release
+    /// held-back acks, a pending FIN or a throttled session.
+    waker: Waker,
 }
 
 impl TraceSource for ChannelSource {
     fn next_chunk(&mut self) -> io::Result<Option<&[u8]>> {
-        match self.rx.recv() {
+        let received = self.rx.recv();
+        if let Ok(chunk) = &received {
+            self.staged.fetch_sub(chunk.len() as u64, Ordering::AcqRel);
+        }
+        self.waker.wake();
+        match received {
             Ok(chunk) => {
-                self.staged.fetch_sub(chunk.len() as u64, Ordering::AcqRel);
                 self.buf = chunk;
                 Ok(Some(&self.buf))
             }
@@ -83,6 +90,7 @@ struct PipelineSink<'scope, 'env> {
     options: &'env DaemonOptions,
     checkpoint: Option<&'env Path>,
     pipes: BTreeMap<u64, TenantPipe<'scope>>,
+    waker: Waker,
 }
 
 impl PipelineSink<'_, '_> {
@@ -127,6 +135,7 @@ impl TenantSink for PipelineSink<'_, '_> {
             buf: Vec::new(),
             staged: Arc::clone(&staged),
             events: Arc::clone(&events),
+            waker: self.waker.clone(),
         };
         let mut opts = self.options.clone();
         if tenant != 1 {
@@ -190,8 +199,11 @@ impl TenantSink for PipelineSink<'_, '_> {
     }
 
     fn staged(&self, tenant: u64) -> u64 {
+        // A pipeline that has ended takes nothing more, so none of its
+        // tenant's bytes wait on it (its acks are not held back).
         self.pipes
             .get(&tenant)
+            .filter(|p| p.handle.as_ref().is_some_and(|h| !h.is_finished()))
             .map_or(0, |p| p.staged.load(Ordering::Acquire))
     }
 }
@@ -222,10 +234,10 @@ impl MultiReport {
 }
 
 /// Runs a multi-tenant serving session to completion: polls `server` on the
-/// calling thread, blocking in [`TenantServer::wait`] between idle rounds,
-/// spawning one supervised pipeline per admitted tenant, and returns every
-/// tenant's report once the server finishes (drain flag, or idle timeout
-/// with all tenants closed).
+/// calling thread, blocking in [`TenantServer::wait`] between idle rounds
+/// (each pipeline wakes it whenever it takes bytes), spawning one supervised
+/// pipeline per admitted tenant, and returns every tenant's report once the
+/// server finishes (drain flag, or idle timeout with all tenants closed).
 ///
 /// `options.resume_from` (if set) applies to the first tenant only; later
 /// tenants always start fresh. `checkpoint` names the first tenant's
@@ -233,8 +245,9 @@ impl MultiReport {
 ///
 /// # Errors
 ///
-/// Propagates accept-loop I/O errors from [`TenantServer::poll`] and
-/// `poll(2)` failures from [`TenantServer::wait`]. Per-tenant
+/// Propagates accept-loop I/O errors from [`TenantServer::poll`],
+/// `poll(2)` failures from [`TenantServer::wait`], and a failure to create
+/// the server's [`Waker`]. Per-tenant
 /// pipeline failures are *not* errors — they are isolated into that tenant's
 /// [`TenantReport::result`].
 pub fn serve_tenants(
@@ -243,6 +256,7 @@ pub fn serve_tenants(
     options: &DaemonOptions,
     checkpoint: Option<&Path>,
 ) -> io::Result<MultiReport> {
+    let waker = server.waker()?;
     std::thread::scope(|scope| {
         let mut sink = PipelineSink {
             scope,
@@ -250,6 +264,7 @@ pub fn serve_tenants(
             options,
             checkpoint,
             pipes: BTreeMap::new(),
+            waker,
         };
         let poll_result = loop {
             match server.poll(&mut sink) {

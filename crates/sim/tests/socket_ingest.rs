@@ -13,7 +13,6 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -22,8 +21,7 @@ use impress_sim::{Configuration, IngestReport};
 use impress_workloads::codec::{DecodeMode, TraceMeta, TraceReader, TraceRecord, TraceWriter};
 use impress_workloads::source::{FollowPolicy, SliceSource, TraceSource, TransportEvent};
 use impress_workloads::transport::{
-    send_to, Endpoint, Listener, MemInput, SendInput, SendOptions, SoloSource, TenantLimits,
-    TenantServer,
+    send_to, Endpoint, Listener, MemInput, SendOptions, SoloSource, TenantLimits, TenantServer,
 };
 
 const RECORDS: u64 = 50_000;
@@ -128,14 +126,15 @@ fn spawn_daemon(
     (bound, handle)
 }
 
-fn send_all(endpoint: &Endpoint, input: &mut impl SendInput, len: usize, idle: Duration) {
+fn send_all(endpoint: &Endpoint, bytes: &[u8], idle: Duration) {
+    let mut input = MemInput::new(bytes.to_vec());
     let options = SendOptions {
         policy: policy(idle),
         ..SendOptions::default()
     };
-    let outcome = send_to(endpoint, input, &options).expect("delivery must complete");
+    let outcome = send_to(endpoint, &mut input, &options).expect("delivery must complete");
     assert!(outcome.complete, "FIN must be acked");
-    assert_eq!(outcome.acked, len as u64);
+    assert_eq!(outcome.acked, bytes.len() as u64);
 }
 
 #[test]
@@ -157,8 +156,7 @@ fn tcp_and_unix_verdicts_match_file_ingest_at_every_thread_count() {
         for endpoint in [Endpoint::Tcp("127.0.0.1:0".to_string()), unix] {
             let (bound, daemon) =
                 spawn_daemon(&endpoint, threads, None, Duration::from_secs(5), None);
-            let mut input = MemInput::new(bytes.clone());
-            send_all(&bound, &mut input, bytes.len(), Duration::from_secs(5));
+            send_all(&bound, &bytes, Duration::from_secs(5));
             let (report, _) = daemon.join().expect("daemon must not panic");
             let verdict = report.unwrap().verdict.to_json_extended();
             assert_eq!(
@@ -199,31 +197,6 @@ impl TraceSource for DyingSource {
     }
 }
 
-/// Holds back end-of-input until the daemon has crashed. The server acks
-/// bytes as it commits them, ahead of its consumer, so without the hold the
-/// client could send FIN and finish against the doomed daemon before the
-/// cut, leaving nothing for the restarted one to resume.
-struct EofAfterCrash {
-    inner: MemInput,
-    crashed: Option<mpsc::Receiver<()>>,
-}
-
-impl SendInput for EofAfterCrash {
-    fn seek_to(&mut self, offset: u64) -> io::Result<()> {
-        self.inner.seek_to(offset)
-    }
-
-    fn read_more(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read_more(buf)?;
-        if n == 0 {
-            if let Some(crashed) = self.crashed.take() {
-                let _ = crashed.recv();
-            }
-        }
-        Ok(n)
-    }
-}
-
 #[test]
 fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     let bytes = sample_trace();
@@ -242,8 +215,7 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
     let path = unix_path("ckpt");
     let endpoint = Endpoint::Unix(path.clone());
     let (bound, daemon) = spawn_daemon(&endpoint, 2, None, Duration::from_secs(5), None);
-    let mut input = MemInput::new(bytes.clone());
-    send_all(&bound, &mut input, bytes.len(), Duration::from_secs(5));
+    send_all(&bound, &bytes, Duration::from_secs(5));
     let (report, checkpoints) = daemon.join().expect("daemon must not panic");
     report.unwrap();
     assert!(
@@ -273,21 +245,14 @@ fn kill_daemon_mid_stream_then_reconnect_resumes_from_every_checkpoint() {
 
         let client_endpoint = endpoint.clone();
         let client_bytes = bytes.clone();
-        let (crash_tx, crash_rx) = mpsc::channel();
         let client = thread::spawn(move || {
             // Generous downtime budget: the client must ride out the crash
             // and the restart below.
-            let len = client_bytes.len();
-            let mut input = EofAfterCrash {
-                inner: MemInput::new(client_bytes),
-                crashed: Some(crash_rx),
-            };
-            send_all(&client_endpoint, &mut input, len, Duration::from_secs(15));
+            send_all(&client_endpoint, &client_bytes, Duration::from_secs(15));
         });
 
         let crashed = crashing.join().expect("crashing daemon must not panic");
         assert!(crashed.is_err(), "the cut source must kill the first run");
-        crash_tx.send(()).unwrap();
 
         let (_, daemon) = spawn_daemon(&endpoint, 2, Some(cp), Duration::from_secs(5), None);
         client.join().expect("client must not panic");

@@ -47,5 +47,5 @@ pub use trace::MemoryAccess;
 pub use transport::{
     send_stream, send_to, ClientLink, Endpoint, FileInput, Handshake, Listener, MemInput,
     ReaderInput, SendInput, SendOptions, SendOutcome, ServerPoll, ServerReply, SocketTuning,
-    SoloSource, TenantLimits, TenantServer, TenantSink, Wire, WireLink,
+    SoloSource, TenantLimits, TenantServer, TenantSink, Waker, Wire, WireLink,
 };

@@ -40,7 +40,7 @@
 //! and server → client on the same connection:
 //!
 //! ```text
-//! ACK(5):     tag u8 | committed u64 LE     (every `ack_every` bytes + on FIN)
+//! ACK(5):     tag u8 | taken u64 LE         (every `ack_every` bytes + on FIN)
 //! GOODBYE(4): tag u8 | committed u64 LE     (graceful drain; not a crash)
 //! ```
 //!
@@ -49,6 +49,12 @@
 //! retransmission after a lost ack is harmless. A DATA offset *beyond* the
 //! committed offset is a protocol violation: the server drops the connection
 //! and the client reconnects and reseeks, which heals the gap.
+//!
+//! An ACK reports how much of the committed stream the server's consumer
+//! (the tenant's ingest pipeline) has *taken*, and FIN is acknowledged only
+//! once it has taken every byte. A producer therefore stays connected until
+//! its pipeline holds the whole stream, and a daemon that crashes before
+//! then finds it reconnecting to the restarted daemon.
 
 use std::collections::VecDeque;
 use std::ffi::c_ulong;
@@ -60,6 +66,7 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::source::{DisconnectReason, FollowPolicy, TraceSource, TransportEvent};
@@ -300,16 +307,24 @@ impl Listener {
     }
 
     /// Accepts one queued connection, non-blocking like the listener;
-    /// `Ok(None)` when none is queued.
+    /// `Ok(None)` when none is queued. A connection that cannot be made
+    /// non-blocking is shut down and skipped: only the listener's own
+    /// failures are errors.
     fn accept(&self) -> io::Result<Option<Wire>> {
-        let accepted = match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Wire::Tcp(s)),
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Wire::Unix(s)),
-        };
-        match accepted.and_then(|wire| wire.set_nonblocking(true).map(|()| wire)) {
-            Ok(wire) => Ok(Some(wire)),
-            Err(e) if is_timeout(&e) => Ok(None),
-            Err(e) => Err(e),
+        loop {
+            let accepted = match self {
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Wire::Tcp(s)),
+                Listener::Unix(l, _) => l.accept().map(|(s, _)| Wire::Unix(s)),
+            };
+            let wire = match accepted {
+                Ok(wire) => wire,
+                Err(e) if is_timeout(&e) => return Ok(None),
+                Err(e) => return Err(e),
+            };
+            if wire.set_nonblocking(true).is_ok() {
+                return Ok(Some(wire));
+            }
+            let _ = wire.shutdown();
         }
     }
 
@@ -1183,8 +1198,9 @@ pub struct TenantLimits {
     /// records are never dropped.
     pub stage_budget: u64,
     /// Evict a connection that holds its session open without committing new
-    /// bytes for this long (slow-loris). Backpressure-throttled tenants are
-    /// exempt. Zero disables the check.
+    /// bytes for this long (slow-loris). Time in which the tenant has staged
+    /// bytes its pipeline has not taken yet (so its acks, or its reads, are
+    /// held back) does not count. Zero disables the check.
     pub stall_limit: Duration,
     /// Protocol violations (bad frame, offset gap, oversized DATA, FIN
     /// mismatch) or slow-loris evictions a tenant may accumulate before it
@@ -1236,8 +1252,10 @@ pub trait TenantSink {
     /// drained): no more bytes will arrive.
     fn close(&mut self, tenant: u64);
 
-    /// Bytes delivered to `tenant` but not yet consumed by its pipeline
-    /// (drives the global backpressure budget).
+    /// Bytes delivered to `tenant` but not yet taken by its pipeline. They
+    /// hold back the tenant's acks (a producer completes only once its
+    /// pipeline has taken every byte) and count against the global
+    /// backpressure budget.
     fn staged(&self, tenant: u64) -> u64;
 }
 
@@ -1297,6 +1315,23 @@ struct MultiConn {
     /// Held back by the staging budget in the last round: not read, and
     /// left out of [`TenantServer::wait`]'s readiness set.
     throttled: bool,
+    /// FIN arrived at the committed total; it is acknowledged once the
+    /// pipeline has taken every byte.
+    fin: bool,
+}
+
+/// Ends a [`TenantServer::wait`] from another thread. Each tenant pipeline
+/// wakes its server whenever it takes bytes, which may release held-back
+/// acks, a pending FIN or a throttled session.
+#[derive(Debug, Clone)]
+pub struct Waker(Arc<UnixStream>);
+
+impl Waker {
+    /// Makes the server's current or next wait return at once.
+    pub fn wake(&self) {
+        // A full socket buffer means a wake is already pending.
+        let _ = (&*self.0).write(&[0]);
+    }
 }
 
 /// `struct pollfd` from `<poll.h>`.
@@ -1349,7 +1384,7 @@ struct TenantMeta {
 /// per-tenant commit/dedup state, so each tenant's canonical byte stream —
 /// and therefore its verdict — is independent of whoever else is connected.
 /// Between idle rounds the server blocks in [`TenantServer::wait`] until a
-/// socket is ready.
+/// socket is ready or a pipeline that took bytes wakes it.
 ///
 /// Robustness machinery: admission control with typed BUSY rejects
 /// ([`TenantLimits::max_clients`], bounded pending-accept queue), per-tenant
@@ -1371,6 +1406,8 @@ pub struct TenantServer {
     drain: Option<&'static AtomicBool>,
     drained: bool,
     last_activity: Instant,
+    /// The read end behind [`TenantServer::waker`], once one was asked for.
+    wake: Option<(UnixStream, Waker)>,
 }
 
 impl TenantServer {
@@ -1389,7 +1426,24 @@ impl TenantServer {
             drain: None,
             drained: false,
             last_activity: Instant::now(),
+            wake: None,
         }
+    }
+
+    /// A [`Waker`] for this server, for sinks whose pipelines take bytes on
+    /// other threads.
+    ///
+    /// # Errors
+    ///
+    /// Creating the socket pair behind the first waker can fail.
+    pub fn waker(&mut self) -> io::Result<Waker> {
+        if self.wake.is_none() {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            self.wake = Some((rx, Waker(Arc::new(tx))));
+        }
+        Ok(self.wake.as_ref().expect("just created").1.clone())
     }
 
     /// Overrides ack cadence / handshake deadline.
@@ -1434,9 +1488,10 @@ impl TenantServer {
 
     /// Blocks in `poll(2)` until the listener has a queued connection, a
     /// pending handshake or an unthrottled live session has bytes (or EOF)
-    /// to read, or [`TenantServer::poll_interval`] elapses. Throttled
-    /// sessions are left out: their unread bytes would end every wait at
-    /// once and spin the loop while the staging budget is blown.
+    /// to read, a [`Waker`] fires, or [`TenantServer::poll_interval`]
+    /// elapses. Throttled sessions are left out: their unread bytes would end
+    /// every wait at once and spin the loop while the staging budget is
+    /// blown.
     ///
     /// Returns the ready count `poll(2)` reported: 0 on timeout, or when a
     /// signal interrupted the wait (`EINTR`).
@@ -1446,6 +1501,7 @@ impl TenantServer {
     /// Any other `poll(2)` failure.
     pub fn wait(&self) -> io::Result<usize> {
         let mut fds: Vec<PollFd> = std::iter::once(self.listener.raw_fd())
+            .chain(self.wake.as_ref().map(|(rx, _)| rx.as_raw_fd()))
             .chain(self.pending.iter().map(|p| p.wire.raw_fd()))
             .chain(
                 self.conns
@@ -1483,10 +1539,17 @@ impl TenantServer {
             self.goodbye_all(sink);
             return Ok(ServerPoll::Done);
         }
+        if let Some((rx, _)) = &self.wake {
+            // Consume pending wakes; this round rechecks every tenant.
+            let mut scratch = [0u8; 64];
+            while matches!((&*rx).read(&mut scratch), Ok(n) if n > 0) {}
+        }
         let mut active = false;
         active |= self.accept_new()?;
-        active |= self.advance_handshakes(sink);
+        // Sessions before handshakes: a producer that closed before it
+        // redialed has its EOF read before its new session is admitted.
         active |= self.pump_conns(sink);
+        active |= self.advance_handshakes(sink);
         self.reap_tenants(sink);
         if self.conns.is_empty()
             && self.pending.is_empty()
@@ -1654,23 +1717,16 @@ impl TenantServer {
             );
         }
         // A reconnect supersedes any stale connection still bound to the
-        // same tenant (e.g. after a half-dead network partition). A producer
-        // that closed before redialing left an EOF this round has not read
-        // yet; that session ended, it did not stall.
+        // same tenant (e.g. after a half-dead network partition).
         if let Some(at) = self.conns.iter().position(|c| c.tenant == tenant) {
-            let mut old = self.conns.swap_remove(at);
-            let reason = if peer_closed(&mut old.wire) {
-                DisconnectReason::Eof
-            } else {
-                DisconnectReason::Stall
-            };
+            let old = self.conns.swap_remove(at);
             let _ = old.wire.shutdown();
             sink.event(
                 tenant,
                 TransportEvent::Disconnected {
                     session: old.session,
                     offset: committed,
-                    reason,
+                    reason: DisconnectReason::Stall,
                 },
             );
         }
@@ -1683,6 +1739,7 @@ impl TenantServer {
             last_read: Instant::now(),
             last_ack: committed,
             throttled: false,
+            fin: false,
         });
     }
 
@@ -1697,15 +1754,18 @@ impl TenantServer {
         let mut conns = std::mem::take(&mut self.conns);
         for mut conn in conns.drain(..) {
             let tenant = conn.tenant;
+            let staged = sink.staged(tenant);
             // Global backpressure: while the staging budget is blown, stop
             // reading (and therefore committing and acking) tenants above
             // their fair share. Throttling the heaviest producers first
             // sheds load without ever dropping a committed record.
-            let throttled = over_budget && sink.staged(tenant) > fair_share;
+            let throttled = over_budget && staged > fair_share;
             conn.throttled = throttled;
-            if throttled {
-                // Time held back is neither idleness nor a stall: restart
-                // both eviction clocks.
+            if staged > 0 {
+                // Bytes the pipeline has not taken yet hold back this
+                // session's acks (and its reads, if throttled), so the
+                // producer may be waiting on the daemon. That time is neither
+                // idleness nor a stall: restart both eviction clocks.
                 conn.last_read = Instant::now();
                 self.tenants
                     .get_mut(&tenant)
@@ -1746,7 +1806,7 @@ impl TenantServer {
             }
             // Parse and commit whatever is buffered.
             let mut fate: Option<DisconnectReason> = None;
-            let mut finished_tenant = false;
+            let mut sink_dead = false;
             loop {
                 let meta = self.tenants.get_mut(&tenant).expect("tenant bound");
                 let parsed = match parse_frame(&conn.rbuf[conn.rat..]) {
@@ -1759,6 +1819,11 @@ impl TenantServer {
                 let Some((frame, consumed)) = parsed else {
                     break;
                 };
+                if conn.fin {
+                    // Nothing may follow FIN on a session.
+                    fate = Some(DisconnectReason::Protocol);
+                    break;
+                }
                 match frame {
                     Frame::Data { offset, start, len } => {
                         let start = conn.rat + start;
@@ -1776,7 +1841,7 @@ impl TenantServer {
                                 // The tenant's pipeline died (decode error,
                                 // refused resume): fail the tenant, keep the
                                 // server.
-                                finished_tenant = true;
+                                sink_dead = true;
                                 fate = Some(DisconnectReason::Io);
                                 break;
                             }
@@ -1791,23 +1856,23 @@ impl TenantServer {
                     }
                     Frame::Fin { total } => {
                         conn.rat += consumed;
-                        if total == meta.committed {
-                            let _ = write_now(&mut conn.wire, &tagged_u64(TAG_ACK, total));
-                            let _ = conn.wire.shutdown();
-                            meta.finished = true;
-                            meta.last_seen = Instant::now();
-                            sink.close(tenant);
-                            finished_tenant = true;
-                        } else {
+                        if total != meta.committed {
                             fate = Some(DisconnectReason::Protocol);
+                            break;
                         }
-                        break;
+                        conn.fin = true;
                     }
                 }
             }
             let meta = self.tenants.get_mut(&tenant).expect("tenant bound");
-            if finished_tenant && fate.is_none() {
-                // FIN handled: connection closed cleanly, tenant done.
+            if conn.fin && fate.is_none() && sink.staged(tenant) == 0 {
+                // The pipeline holds the whole stream: the final ack
+                // completes the producer, and the tenant's stream ends.
+                let _ = write_now(&mut conn.wire, &tagged_u64(TAG_ACK, meta.committed));
+                let _ = conn.wire.shutdown();
+                meta.finished = true;
+                meta.last_seen = Instant::now();
+                sink.close(tenant);
                 self.last_activity = Instant::now();
                 active = true;
                 continue;
@@ -1830,13 +1895,13 @@ impl TenantServer {
                 }
             }
             let Some(reason) = fate else {
-                // Flush a pending ack so a quiet producer blocked on flow
-                // control can make progress.
-                if meta.committed > conn.last_ack {
-                    let committed = meta.committed;
-                    if write_now(&mut conn.wire, &tagged_u64(TAG_ACK, committed)).is_ok() {
-                        conn.last_ack = committed;
-                    }
+                // Ack what the pipeline has taken, so a producer blocked on
+                // flow control moves on as soon as its bytes are consumed.
+                let taken = meta.committed.saturating_sub(sink.staged(tenant));
+                if taken > conn.last_ack
+                    && write_now(&mut conn.wire, &tagged_u64(TAG_ACK, taken)).is_ok()
+                {
+                    conn.last_ack = taken;
                 }
                 meta.last_seen = Instant::now();
                 self.conns.push(conn);
@@ -1858,7 +1923,7 @@ impl TenantServer {
                     reason,
                 },
             );
-            if finished_tenant && !meta.finished {
+            if sink_dead && !meta.finished {
                 meta.finished = true;
                 sink.close(tenant);
             }
@@ -1939,21 +2004,6 @@ impl TenantServer {
     }
 }
 
-/// Whether the peer of a non-blocking wire has closed: discards up to
-/// 256 KiB of unread bytes looking for EOF.
-fn peer_closed(wire: &mut Wire) -> bool {
-    let mut scratch = [0u8; 16 * 1024];
-    for _ in 0..16 {
-        match wire.read(&mut scratch) {
-            Ok(0) => return true,
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    false
-}
-
 /// A one-tenant [`TenantServer`] pulled as a [`TraceSource`].
 ///
 /// Drives the server on the calling thread, blocking in
@@ -1969,6 +2019,8 @@ pub struct SoloSource {
 }
 
 /// The [`TenantSink`] behind [`SoloSource`]: a queue of committed chunks.
+/// Queued bytes are staged, so the producer is acked only for what the
+/// caller has pulled.
 #[derive(Debug, Default)]
 struct SoloSink {
     admitted: bool,
@@ -1999,8 +2051,7 @@ impl TenantSink for SoloSink {
     }
 
     fn staged(&self, _tenant: u64) -> u64 {
-        // The source hands out every queued chunk before it polls again.
-        0
+        self.chunks.iter().map(|c| c.len() as u64).sum()
     }
 }
 
@@ -2044,7 +2095,7 @@ impl TraceSource for SoloSource {
 enum CommitOutcome {
     /// New bytes were committed and delivered to the sink.
     Ok,
-    /// The frame was entirely already-committed bytes (dropped, re-acked).
+    /// The frame was entirely already-committed bytes (dropped).
     Duplicate,
     /// Offset gap or arithmetic overflow: protocol violation.
     Violation,
@@ -2100,11 +2151,6 @@ fn commit_data(
                 bytes: len as u64,
             },
         );
-        // Re-ack so a client that missed the original ack advances.
-        conn.last_ack = meta.committed;
-        if write_now(&mut conn.wire, &tagged_u64(TAG_ACK, meta.committed)).is_err() {
-            return CommitOutcome::PeerDead;
-        }
         return CommitOutcome::Duplicate;
     }
     if skip > 0 {
@@ -2124,9 +2170,10 @@ fn commit_data(
         return CommitOutcome::SinkDead;
     }
     meta.committed = end;
-    if meta.committed - conn.last_ack >= tuning.ack_every {
-        conn.last_ack = meta.committed;
-        if write_now(&mut conn.wire, &tagged_u64(TAG_ACK, meta.committed)).is_err() {
+    let taken = meta.committed.saturating_sub(sink.staged(conn.tenant));
+    if taken >= conn.last_ack + tuning.ack_every {
+        conn.last_ack = taken;
+        if write_now(&mut conn.wire, &tagged_u64(TAG_ACK, taken)).is_err() {
             return CommitOutcome::PeerDead;
         }
     }
@@ -2884,6 +2931,56 @@ mod tests {
         sink.hold_until = None;
         assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Busy);
         assert_eq!(sink.data[&1].len(), 200);
+    }
+
+    #[test]
+    fn a_waker_ends_one_wait() {
+        let listener = Listener::bind(&Endpoint::Unix(unix_path("wait-waker"))).unwrap();
+        let mut server = TenantServer::new(listener, fast_policy(), TenantLimits::default());
+        let waker = server.waker().unwrap();
+        assert_eq!(server.wait().unwrap(), 0, "nothing is ready: timeout");
+        waker.clone().wake();
+        waker.wake();
+        assert_eq!(server.wait().unwrap(), 1, "pending wakes");
+        assert_eq!(
+            server.poll(&mut TestSink::default()).unwrap(),
+            ServerPoll::Idle
+        );
+        assert_eq!(server.wait().unwrap(), 0, "the round consumed them");
+    }
+
+    #[test]
+    fn fin_is_acked_only_once_the_pipeline_has_taken_every_byte() {
+        let endpoint = Endpoint::Unix(unix_path("fin-held"));
+        let listener = Listener::bind(&endpoint).unwrap();
+        let mut server = TenantServer::new(listener, fast_policy(), TenantLimits::default());
+        // The pipeline takes nothing until the test releases it.
+        let mut sink = TestSink {
+            hold_until: Some(Instant::now() + Duration::from_secs(3600)),
+            ..TestSink::default()
+        };
+        let mut client = Wire::connect(&endpoint).unwrap();
+        client.write_all(&hello_bytes(0, 0)).unwrap();
+        client.write_all(&data_frame(0, &[1u8; 100])).unwrap();
+        client.write_all(&tagged_u64(TAG_FIN, 100)).unwrap();
+        while sink.data.get(&1).map_or(0, Vec::len) < 100 {
+            assert_ne!(server.poll(&mut sink).unwrap(), ServerPoll::Done);
+        }
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Idle);
+        client.set_nonblocking(true).unwrap();
+        let mut replies = [0u8; 64];
+        assert_eq!(
+            client.read(&mut replies).unwrap(),
+            HANDSHAKE_BYTES,
+            "the REPLY and no ack: the pipeline has taken nothing"
+        );
+        assert!(sink.closed.is_empty(), "the stream is still open");
+        // Taken, the stream is acked in full and the tenant's stream ends.
+        sink.hold_until = None;
+        assert_eq!(server.poll(&mut sink).unwrap(), ServerPoll::Busy);
+        assert_eq!(client.read(&mut replies).unwrap(), 9);
+        assert_eq!(replies[..9], tagged_u64(TAG_ACK, 100));
+        assert_eq!(sink.closed, vec![1]);
     }
 
     #[test]
