@@ -1353,8 +1353,8 @@ mod tests {
     // --- connection-level faults ---
 
     use crate::transport::{
-        send_stream, Endpoint, Listener, MemInput, SendOptions, SocketTuning, SoloSource,
-        TenantLimits, TenantServer, WireLink,
+        send_stream, Endpoint, Listener, MemInput, SendOptions, SoloSource, TenantLimits,
+        TenantServer, WireLink,
     };
     use std::thread;
     use std::time::Duration;
@@ -1378,11 +1378,7 @@ mod tests {
             ..fast_policy()
         };
         let handle = thread::spawn(move || {
-            let limits = TenantLimits::default();
-            let server = TenantServer::new(listener, policy, limits).with_tuning(SocketTuning {
-                ack_every: 1024,
-                ..SocketTuning::default()
-            });
+            let server = TenantServer::new(listener, policy, TenantLimits::default());
             let mut src = SoloSource::new(server);
             let mut out = Vec::new();
             while let Some(chunk) = src.next_chunk().unwrap() {

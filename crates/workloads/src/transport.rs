@@ -40,7 +40,7 @@
 //! and server → client on the same connection:
 //!
 //! ```text
-//! ACK(5):     tag u8 | taken u64 LE         (every `ack_every` bytes + on FIN)
+//! ACK(5):     tag u8 | taken u64 LE         (after each round it grew; on FIN)
 //! GOODBYE(4): tag u8 | committed u64 LE     (graceful drain; not a crash)
 //! ```
 //!
@@ -83,8 +83,6 @@ pub const HANDSHAKE_BYTES: usize = 24;
 pub const MAX_DATA_BYTES: usize = 256 * 1024;
 /// Default client DATA payload size.
 pub const DEFAULT_DATA_BYTES: usize = 32 * 1024;
-/// Default server ack cadence in committed bytes.
-pub const DEFAULT_ACK_EVERY: u64 = 128 * 1024;
 /// Default client flow-control window (unacked bytes before blocking).
 pub const DEFAULT_ACK_WINDOW: u64 = 1 << 20;
 /// Default cap on sessions one `send_stream` call may open.
@@ -381,24 +379,9 @@ fn data_frame(offset: u64, payload: &[u8]) -> Vec<u8> {
     b
 }
 
-/// Tuning knobs for [`TenantServer`] beyond the reconnect policy.
-#[derive(Debug, Clone, Copy)]
-pub struct SocketTuning {
-    /// Send an ACK each time this many new canonical bytes commit.
-    pub ack_every: u64,
-    /// How long a freshly accepted connection may take to complete the
-    /// handshake before it is dropped as a protocol violation.
-    pub handshake_timeout: Duration,
-}
-
-impl Default for SocketTuning {
-    fn default() -> Self {
-        Self {
-            ack_every: DEFAULT_ACK_EVERY,
-            handshake_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// How long a freshly accepted connection may take to complete the handshake
+/// before it is dropped as a protocol violation.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 enum Frame {
     Data {
@@ -1397,7 +1380,6 @@ struct TenantMeta {
 pub struct TenantServer {
     listener: Listener,
     policy: FollowPolicy,
-    tuning: SocketTuning,
     limits: TenantLimits,
     pending: Vec<PendingConn>,
     conns: Vec<MultiConn>,
@@ -1417,7 +1399,6 @@ impl TenantServer {
         Self {
             listener,
             policy,
-            tuning: SocketTuning::default(),
             limits,
             pending: Vec::new(),
             conns: Vec::new(),
@@ -1444,13 +1425,6 @@ impl TenantServer {
             self.wake = Some((rx, Waker(Arc::new(tx))));
         }
         Ok(self.wake.as_ref().expect("just created").1.clone())
-    }
-
-    /// Overrides ack cadence / handshake deadline.
-    #[must_use]
-    pub fn with_tuning(mut self, tuning: SocketTuning) -> Self {
-        self.tuning = tuning;
-        self
     }
 
     /// Installs a drain flag: once it reads `true`, the next poll sends a
@@ -1612,7 +1586,7 @@ impl TenantServer {
                         active = true;
                     }
                     Err(e) if is_timeout(&e) => {
-                        if p.since.elapsed() >= self.tuning.handshake_timeout {
+                        if p.since.elapsed() >= HANDSHAKE_TIMEOUT {
                             let _ = p.wire.shutdown();
                         } else {
                             self.pending.push(p);
@@ -1828,7 +1802,7 @@ impl TenantServer {
                     Frame::Data { offset, start, len } => {
                         let start = conn.rat + start;
                         conn.rat += consumed;
-                        match commit_data(meta, &mut conn, sink, &self.tuning, offset, start, len) {
+                        match commit_data(meta, &mut conn, sink, offset, start, len) {
                             CommitOutcome::Ok => {
                                 meta.last_progress = Instant::now();
                             }
@@ -1842,10 +1816,6 @@ impl TenantServer {
                                 // refused resume): fail the tenant, keep the
                                 // server.
                                 sink_dead = true;
-                                fate = Some(DisconnectReason::Io);
-                                break;
-                            }
-                            CommitOutcome::PeerDead => {
                                 fate = Some(DisconnectReason::Io);
                                 break;
                             }
@@ -2101,19 +2071,15 @@ enum CommitOutcome {
     Violation,
     /// The tenant's pipeline rejected the bytes (it is dead).
     SinkDead,
-    /// The peer stopped reading acks (its receive window is full).
-    PeerDead,
 }
 
 /// Commits one DATA frame for a tenant: trims or drops bytes the server
-/// already committed, forwards the new suffix to the sink, acks on cadence.
-/// Commit state is per tenant, so a tenant's canonical stream never depends
+/// already committed and forwards the new suffix to the sink. Commit state is per tenant, so a tenant's canonical stream never depends
 /// on who else is connected.
 fn commit_data(
     meta: &mut TenantMeta,
     conn: &mut MultiConn,
     sink: &mut dyn TenantSink,
-    tuning: &SocketTuning,
     offset: u64,
     start: usize,
     len: usize,
@@ -2123,22 +2089,6 @@ fn commit_data(
     };
     if offset > meta.committed {
         // A gap means lost bytes the server never acked: protocol violation.
-        return CommitOutcome::Violation;
-    }
-    if meta.finished {
-        // The stream was finalized (FIN acked); a full duplicate is a
-        // harmless retransmit, anything new is a violation.
-        if end <= meta.committed {
-            sink.event(
-                conn.tenant,
-                TransportEvent::DuplicateDropped {
-                    session: conn.session,
-                    offset: meta.committed,
-                    bytes: len as u64,
-                },
-            );
-            return CommitOutcome::Duplicate;
-        }
         return CommitOutcome::Violation;
     }
     let skip = (meta.committed - offset) as usize;
@@ -2152,6 +2102,10 @@ fn commit_data(
             },
         );
         return CommitOutcome::Duplicate;
+    }
+    if meta.finished {
+        // The stream was finalized (FIN acked): anything new is a violation.
+        return CommitOutcome::Violation;
     }
     if skip > 0 {
         sink.event(
@@ -2170,13 +2124,6 @@ fn commit_data(
         return CommitOutcome::SinkDead;
     }
     meta.committed = end;
-    let taken = meta.committed.saturating_sub(sink.staged(conn.tenant));
-    if taken >= conn.last_ack + tuning.ack_every {
-        conn.last_ack = taken;
-        if write_now(&mut conn.wire, &tagged_u64(TAG_ACK, taken)).is_err() {
-            return CommitOutcome::PeerDead;
-        }
-    }
     CommitOutcome::Ok
 }
 
@@ -2338,15 +2285,11 @@ mod tests {
     fn reconnect_resumes_from_committed_offset() {
         let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
         let ep = listener.local_endpoint().unwrap();
-        // Tight ack cadence so session 1 can observe its prefix committing.
-        let mut src = SoloSource::new(
-            TenantServer::new(listener, fast_policy(), TenantLimits::default()).with_tuning(
-                SocketTuning {
-                    ack_every: 1024,
-                    ..SocketTuning::default()
-                },
-            ),
-        );
+        let mut src = SoloSource::new(TenantServer::new(
+            listener,
+            fast_policy(),
+            TenantLimits::default(),
+        ));
         let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 239) as u8).collect();
         let expect = payload.clone();
         let client = thread::spawn(move || {
