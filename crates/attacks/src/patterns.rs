@@ -52,6 +52,12 @@ impl Iterator for PatternIter<'_> {
         self.next += 1;
         Some(access)
     }
+
+    /// Exact, so collecting a pattern allocates once, at its length.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.end.saturating_sub(self.next)).ok();
+        (left.unwrap_or(usize::MAX), left)
+    }
 }
 
 /// Classic single-sided Rowhammer: minimum-length activations of one aggressor row.
@@ -411,6 +417,11 @@ mod tests {
         let p = RowPressPattern::new(3, 1000);
         let via_iter: Vec<_> = p.iter(5).collect();
         assert_eq!(via_iter, p.accesses(5));
+        let mut iter = p.iter(3_000);
+        assert_eq!(iter.size_hint(), (3_000, Some(3_000)));
+        iter.next();
+        assert_eq!(iter.size_hint(), (2_999, Some(2_999)));
+        assert_eq!(p.iter(3_000).collect::<Vec<_>>().capacity(), 3_000);
     }
 
     #[test]

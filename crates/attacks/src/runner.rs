@@ -6,6 +6,7 @@ use impress_core::config::ProtectionConfig;
 use impress_core::engine::BankMitigationEngine;
 use impress_dram::bank::ClosedRow;
 use impress_dram::timing::{Cycle, DramTimings};
+use impress_trackers::MitigationRequest;
 
 use crate::patterns::AttackPattern;
 
@@ -93,6 +94,17 @@ impl AttackRunner {
         let mut rows = [0u32; CHUNK];
         let mut open = [0 as Cycle; CHUNK];
         let mut charge = [0.0f64; CHUNK];
+        // Mitigation requests of one activation or closure, reused throughout;
+        // each stalls the attacker for `mitigation_cost` cycles.
+        let mut requests = Vec::new();
+        let cost = self.mitigation_cost;
+        let mut stall = |requests: &mut Vec<MitigationRequest>, now: &mut Cycle| {
+            let n = requests.len() as u64;
+            requests.clear();
+            *now += n * cost;
+            mitigation_cycles += n * cost;
+            mitigations += n;
+        };
 
         let mut next_round = 0u64;
         while next_round < rounds {
@@ -111,20 +123,10 @@ impl AttackRunner {
                 baseline += round_time;
                 charge_units += charge[k];
 
-                let handle = |requests: Vec<impress_trackers::MitigationRequest>,
-                              now: &mut Cycle,
-                              mitigation_cycles: &mut Cycle,
-                              mitigations: &mut u64| {
-                    for _ in requests {
-                        *now += self.mitigation_cost;
-                        *mitigation_cycles += self.mitigation_cost;
-                        *mitigations += 1;
-                    }
-                };
-
                 let opened_at = now;
-                let reqs = self.engine.on_activate(rows[k], opened_at);
-                handle(reqs, &mut now, &mut mitigation_cycles, &mut mitigations);
+                self.engine
+                    .on_activate_into(rows[k], opened_at, &mut requests);
+                stall(&mut requests, &mut now);
 
                 let closed_at = opened_at + t_on;
                 let closed = ClosedRow {
@@ -134,8 +136,8 @@ impl AttackRunner {
                     closed_at,
                 };
                 now = closed_at + self.timings.t_pre;
-                let reqs = self.engine.on_close(&closed);
-                handle(reqs, &mut now, &mut mitigation_cycles, &mut mitigations);
+                self.engine.on_close_into(&closed, &mut requests);
+                stall(&mut requests, &mut now);
             }
             next_round += filled as u64;
         }

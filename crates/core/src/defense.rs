@@ -8,7 +8,8 @@
 //! * **ExPress** (§II-E): like No-RP, but the controller must additionally cap the row
 //!   open time at `tMRO` and the tracker must be re-targeted to the reduced threshold T*.
 //! * **ImPress-N** (§V): every ACT becomes one unit activation, and every full `tRC`
-//!   window a row stays open adds one more unit activation (ORA semantics).
+//!   window a row stays open adds one more unit activation (ORA semantics). The
+//!   window activations of one closure arrive as a single *counted* event.
 //! * **ImPress-P** (§VI): nothing is emitted at ACT; at row close one activation with
 //!   the measured `EACT = (tON + tPRE)/tRC` is emitted.
 
@@ -20,20 +21,36 @@ use impress_dram::timing::Cycle;
 use impress_trackers::Eact;
 
 /// One tracker-visible activation event produced by a defense.
+///
+/// An event stands for `count` back-to-back activations of `row`, each weighing
+/// `eact`, recorded at one timestamp. `count` is 1 except for ImPress-N's window
+/// activations: a row open for n full `tRC` windows yields one event with
+/// `count = n`, which the engine hands to [`RowTracker::record_run`] — exactly
+/// n unit records, at O(1) instead of O(n) cost for the counter trackers.
+///
+/// [`RowTracker::record_run`]: impress_trackers::RowTracker::record_run
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrackedActivation {
     /// The aggressor row the event is attributed to.
     pub row: RowId,
-    /// The equivalent activation count of the event.
+    /// The equivalent activation count of each activation.
     pub eact: Eact,
+    /// How many activations the event stands for.
+    pub count: u32,
 }
 
 impl TrackedActivation {
     /// A single conventional activation of `row`.
     pub fn unit(row: RowId) -> Self {
+        Self::units(row, 1)
+    }
+
+    /// `count` conventional activations of `row`, as one counted event.
+    pub fn units(row: RowId, count: u32) -> Self {
         Self {
             row,
             eact: Eact::ONE,
+            count,
         }
     }
 }

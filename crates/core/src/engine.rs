@@ -37,7 +37,8 @@ const STAGE_CAPACITY: usize = 1024;
 /// Counters describing the engine's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Activations recorded into the tracker (unit events plus EACT events).
+    /// Activations recorded into the tracker (unit events plus EACT events; a
+    /// counted event adds its count).
     pub tracked_events: u64,
     /// Mitigations requested by the tracker outside of RFM (memory-controller trackers).
     pub direct_mitigations: u64,
@@ -250,8 +251,10 @@ impl BankMitigationEngine {
         }
     }
 
-    /// Routes one tracked event either into the staging buffers (when it
+    /// Routes one unit event either into the staging buffers (when it
     /// provably cannot mitigate) or through the exact per-record path.
+    /// Counted events go to [`BankMitigationEngine::record_counted`] instead
+    /// (branching in the caller keeps this hot path as small as it was).
     #[inline]
     fn record_event(
         &mut self,
@@ -287,6 +290,40 @@ impl BankMitigationEngine {
         }
     }
 
+    /// Records `count` activations of `row` through
+    /// [`RowTracker::record_run`], which is exactly `count` per-record calls.
+    /// Staged events precede the run in stream order, so they land first.
+    fn record_counted(
+        &mut self,
+        row: RowId,
+        eact: Eact,
+        count: u32,
+        now: Cycle,
+        out: &mut Vec<MitigationRequest>,
+    ) {
+        self.stats.tracked_events += u64::from(count);
+        self.flush_staged();
+        let before = out.len();
+        self.tracker.record_run(row, eact, count, now, out);
+        self.stats.direct_mitigations += (out.len() - before) as u64;
+        if self.batching {
+            self.headroom_left = self.tracker.headroom();
+        }
+    }
+
+    /// Records the defense's events in `event_buf`, all at `now`.
+    #[inline]
+    fn record_events(&mut self, now: Cycle, out: &mut Vec<MitigationRequest>) {
+        for i in 0..self.event_buf.len() {
+            let TrackedActivation { row, eact, count } = self.event_buf[i];
+            if count == 1 {
+                self.record_event(row, eact, now, out);
+            } else {
+                self.record_counted(row, eact, count, now, out);
+            }
+        }
+    }
+
     /// Processes an activation of `row` at `now`, appending any mitigations the tracker
     /// requests immediately to `out`.
     ///
@@ -296,10 +333,7 @@ impl BankMitigationEngine {
         self.advance_refresh_window(now);
         self.event_buf.clear();
         self.defense.on_activate(row, now, &mut self.event_buf);
-        for i in 0..self.event_buf.len() {
-            let event = self.event_buf[i];
-            self.record_event(event.row, event.eact, now, out);
-        }
+        self.record_events(now, out);
     }
 
     /// Processes a row closure, appending any mitigations the tracker requests to
@@ -308,10 +342,7 @@ impl BankMitigationEngine {
         self.advance_refresh_window(closed.closed_at);
         self.event_buf.clear();
         self.defense.on_close(closed, &mut self.event_buf);
-        for i in 0..self.event_buf.len() {
-            let event = self.event_buf[i];
-            self.record_event(event.row, event.eact, closed.closed_at, out);
-        }
+        self.record_events(closed.closed_at, out);
     }
 
     /// Processes an activation of `row` at `now`, returning any mitigations the tracker
@@ -360,6 +391,8 @@ mod tests {
     use super::*;
     use crate::clm::Alpha;
     use crate::config::{DefenseKind, TrackerChoice};
+    use crate::impress_n::ImpressN;
+    use impress_trackers::EvictionEngine;
 
     fn timings() -> DramTimings {
         DramTimings::ddr5()
@@ -446,6 +479,131 @@ mod tests {
             DefenseKind::express_paper_baseline(&t),
         );
         let _ = BankMitigationEngine::new(&cfg, &t);
+    }
+
+    /// ImPress-N as it was before counted events: each full window is its own
+    /// unit event, recorded one `record` at a time — the oracle for
+    /// [`RowTracker::record_run`] at the engine level.
+    #[derive(Debug)]
+    struct UnitWindows(ImpressN);
+
+    impl RowPressDefense for UnitWindows {
+        fn on_activate(&mut self, row: RowId, now: Cycle, out: &mut Vec<TrackedActivation>) {
+            self.0.on_activate(row, now, out);
+        }
+
+        fn on_close(&mut self, closed: &ClosedRow, out: &mut Vec<TrackedActivation>) {
+            let mut counted = Vec::new();
+            self.0.on_close(closed, &mut counted);
+            for event in counted {
+                let unit = TrackedActivation { count: 1, ..event };
+                out.extend((0..event.count).map(|_| unit));
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "ImPress-N (unit windows)"
+        }
+    }
+
+    /// Counted window events change nothing an engine reports: one seeded
+    /// stream of activations, closures (pure hammers up to the
+    /// refresh-postponement cap), RFMs and refresh-window crossings yields the
+    /// same mitigations, call by call, and the same [`EngineStats`] as the
+    /// unit-window oracle, for every tracker, with record batching on and off.
+    /// The trackers are small (16 entries against 24 aggressor rows, low
+    /// thresholds), so the stream evicts, spills and mitigates throughout.
+    #[test]
+    fn counted_window_events_match_unit_window_events() {
+        use impress_trackers::graphene::GrapheneConfig;
+        use impress_trackers::mithril::MithrilConfig;
+        use impress_trackers::{Graphene, Mint, Mithril, Para, Prac};
+
+        fn graphene(engine: EvictionEngine) -> Box<dyn RowTracker> {
+            let config = GrapheneConfig {
+                threshold: 200,
+                internal_threshold: 40,
+                entries: 16,
+                frac_bits: 0,
+            };
+            Box::new(Graphene::with_engine(config, engine))
+        }
+        fn mithril(engine: EvictionEngine) -> Box<dyn RowTracker> {
+            let config = MithrilConfig {
+                threshold: 200,
+                rfm_threshold: 16,
+                entries: 16,
+                frac_bits: 0,
+            };
+            Box::new(Mithril::with_engine(config, engine))
+        }
+        type Build = fn() -> Box<dyn RowTracker>;
+        let trackers: [(&str, Build); 7] = [
+            ("graphene/summary", || graphene(EvictionEngine::Summary)),
+            ("graphene/scan", || graphene(EvictionEngine::Scan)),
+            ("para", || Box::new(Para::with_probability(200, 0.01, 7))),
+            ("mithril/summary", || mithril(EvictionEngine::Summary)),
+            ("mithril/scan", || mithril(EvictionEngine::Scan)),
+            ("mint", || Box::new(Mint::new(16, 0, 7))),
+            ("prac", || Box::new(Prac::for_threshold(200, 0, 1 << 16))),
+        ];
+        let t = timings();
+        let cap = (1 + u64::from(t.max_postponed_ref)) * t.t_refi;
+        for (name, tracker) in trackers {
+            for batching in [false, true] {
+                let engine = |defense: Box<dyn RowPressDefense>| {
+                    let mut e = BankMitigationEngine::from_parts(defense, tracker(), &t);
+                    e.set_record_batching(batching);
+                    e
+                };
+                let mut counted = engine(Box::new(ImpressN::conservative(&t)));
+                let mut units = engine(Box::new(UnitWindows(ImpressN::conservative(&t))));
+                let label = format!("{name} batching={batching}");
+
+                // xorshift64: a fixed stream without a dev-dependency.
+                let mut state = 0x9E37_79B9_7F4A_7C15u64;
+                let mut draw = |n: u64| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state % n
+                };
+                let mut now: Cycle = 0;
+                let mut mitigations = 0usize;
+                for step in 0..3_000 {
+                    match draw(100) {
+                        0..=84 => {
+                            let row = 1_000 + draw(24) as RowId;
+                            let t_on = match draw(3) {
+                                0 => t.t_ras,
+                                1 => t.t_ras + draw(8) * t.t_rc + draw(t.t_rc),
+                                _ => t.t_ras + draw(cap - t.t_ras),
+                            };
+                            let a = counted.on_activate(row, now);
+                            assert_eq!(a, units.on_activate(row, now), "{label}: ACT {step}");
+                            let closed = closed(row, now, now + t_on);
+                            let c = counted.on_close(&closed);
+                            assert_eq!(c, units.on_close(&closed), "{label}: close {step}");
+                            mitigations += a.len() + c.len();
+                            now = closed.closed_at + t.t_pre;
+                        }
+                        85..=96 => {
+                            let m = counted.on_rfm(now);
+                            assert_eq!(m, units.on_rfm(now), "{label}: RFM {step}");
+                            mitigations += usize::from(m.is_some());
+                            now += t.t_rfm;
+                        }
+                        // Skip ahead across a refresh-window boundary.
+                        _ => now += t.t_refw,
+                    }
+                    assert_eq!(counted.stats(), units.stats(), "{label}: step {step}");
+                }
+                counted.flush_staged();
+                units.flush_staged();
+                assert_eq!(counted.stats(), units.stats(), "{label}");
+                assert!(mitigations > 0, "{label}: the stream never mitigated");
+            }
+        }
     }
 
     #[test]

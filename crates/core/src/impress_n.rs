@@ -5,6 +5,14 @@
 //! fed to the Rowhammer tracker like any other ACT. The hardware needs only a window
 //! timer and an Open-Row-Address (ORA) register per bank (4 bytes).
 //!
+//! The model reports a closure's window activations as one *counted* event
+//! ([`TrackedActivation::units`]) rather than one unit event per window: a row
+//! pressed up to the refresh-postponement cap spans ~400 windows, and the tracker
+//! absorbs the whole count through [`RowTracker::record_run`], which is defined to
+//! behave exactly like that many unit records.
+//!
+//! [`RowTracker::record_run`]: impress_trackers::RowTracker::record_run
+//!
 //! Because sub-`tRC` Row-Press escapes this accounting, an attacker can keep each
 //! round's extra open time just under one window (the decoy pattern of Figure 10) and
 //! the tolerated threshold drops to `TRH / (1 + α)` (Equation 5). The tracker therefore
@@ -87,9 +95,14 @@ impl RowPressDefense for ImpressN {
     }
 
     fn on_close(&mut self, closed: &ClosedRow, out: &mut Vec<TrackedActivation>) {
-        let n = self.full_windows(closed);
+        let mut n = self.full_windows(closed);
         self.window_activations += n;
-        out.extend((0..n).map(|_| TrackedActivation::unit(closed.row)));
+        // One counted event per closure (split only past u32::MAX windows).
+        while n > 0 {
+            let count = u32::try_from(n).unwrap_or(u32::MAX);
+            out.push(TrackedActivation::units(closed.row, count));
+            n -= u64::from(count);
+        }
     }
 
     fn tracker_threshold_scale(&self) -> f64 {
@@ -104,6 +117,7 @@ impl RowPressDefense for ImpressN {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_trackers::Eact;
     use proptest::prelude::*;
 
     fn timings() -> DramTimings {
@@ -125,6 +139,11 @@ mod tests {
         out
     }
 
+    /// Window activations a closure emitted, summed over its counted events.
+    fn windows(events: &[TrackedActivation]) -> u64 {
+        events.iter().map(|e| u64::from(e.count)).sum()
+    }
+
     #[test]
     fn rowhammer_access_emits_no_window_activation() {
         let t = timings();
@@ -140,8 +159,7 @@ mod tests {
         let mut d = ImpressN::conservative(&t);
         // Open at the start of window 0, closed in window 2: fully covers window 1.
         let events = close_events(&mut d, &closed(0, 2 * t.t_rc + 10));
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0], TrackedActivation::unit(7));
+        assert_eq!(events, vec![TrackedActivation::unit(7)]);
     }
 
     #[test]
@@ -151,7 +169,9 @@ mod tests {
         // Open for ~10 windows starting mid-window.
         let start = t.t_rc / 2;
         let events = close_events(&mut d, &closed(start, start + 10 * t.t_rc));
-        assert_eq!(events.len(), 9);
+        // One counted event carries all nine windows.
+        assert_eq!(events, vec![TrackedActivation::units(7, 9)]);
+        assert_eq!(windows(&events), 9);
         assert_eq!(d.window_activations(), 9);
     }
 
@@ -195,10 +215,14 @@ mod tests {
             let t = timings();
             let mut d = ImpressN::conservative(&t);
             let events = close_events(&mut d, &closed(opened, opened + open_for));
-            let n = events.len() as u64;
+            let n = windows(&events);
             let exact = open_for / t.t_rc;
             prop_assert!(n <= exact);
             prop_assert!(n + 2 >= exact);
+            prop_assert_eq!(n, d.window_activations());
+            // At most one counted event per closure, and never an empty one.
+            prop_assert!(events.len() <= 1);
+            prop_assert!(events.iter().all(|e| e.count > 0 && e.row == 7 && e.eact == Eact::ONE));
         }
     }
 }

@@ -96,6 +96,7 @@ impl RowPressDefense for ImpressP {
         out.push(TrackedActivation {
             row: closed.row,
             eact,
+            count: 1,
         });
     }
 

@@ -16,12 +16,12 @@
 //!   (Equation 5, via the Figure 10 evasion pattern).
 //! * ImPress-P keeps the tolerated threshold at TRH.
 
-use std::collections::HashMap;
-
 use impress_dram::address::RowId;
 use impress_dram::bank::ClosedRow;
 use impress_dram::rfm::RfmCounter;
 use impress_dram::timing::{Cycle, DramTimings};
+use impress_trackers::tracker::neighbours;
+use impress_trackers::MitigationRequest;
 
 use crate::clm::ChargeLossModel;
 use crate::config::ProtectionConfig;
@@ -78,6 +78,80 @@ impl SecurityReport {
     }
 }
 
+/// Rows per [`VictimLedger`] page: one 4 KiB page of `f64` charges.
+const PAGE_ROWS: usize = 512;
+
+/// Unmitigated charge per victim row, indexed by row without hashing.
+///
+/// Charges live in 4 KiB pages allocated when a row in them is first damaged,
+/// under a page directory that grows only as far as the highest page touched.
+/// Building a ledger allocates nothing, so its cost does not grow with the
+/// bank's row count; an attack pays one page per 512-row region it damages.
+#[derive(Debug)]
+struct VictimLedger {
+    rows_per_bank: u32,
+    blast_radius: u32,
+    pages: Vec<Option<Box<[f64; PAGE_ROWS]>>>,
+    max_charge: f64,
+    worst_victim: Option<RowId>,
+}
+
+impl VictimLedger {
+    fn new(rows_per_bank: u32, blast_radius: u32) -> Self {
+        Self {
+            rows_per_bank,
+            blast_radius,
+            pages: Vec::new(),
+            max_charge: 0.0,
+            worst_victim: None,
+        }
+    }
+
+    fn split(row: RowId) -> (usize, usize) {
+        let row = row as usize;
+        (row / PAGE_ROWS, row % PAGE_ROWS)
+    }
+
+    fn charge(&self, row: RowId) -> f64 {
+        let (page, offset) = Self::split(row);
+        match self.pages.get(page) {
+            Some(Some(charges)) => charges[offset],
+            _ => 0.0,
+        }
+    }
+
+    /// Resets the victims of a mitigated `aggressor`.
+    fn refresh(&mut self, aggressor: RowId) {
+        for d in 1..=self.blast_radius {
+            for victim in neighbours(aggressor, d, self.rows_per_bank) {
+                let (page, offset) = Self::split(victim);
+                if let Some(Some(charges)) = self.pages.get_mut(page) {
+                    charges[offset] = 0.0;
+                }
+            }
+        }
+    }
+
+    /// Charges the rows adjacent to `aggressor` with `charge`.
+    fn damage(&mut self, aggressor: RowId, charge: f64) {
+        // Immediately adjacent rows take the full damage; this matches the paper's
+        // threshold definition (TRH counts activations of the adjacent aggressor).
+        for victim in neighbours(aggressor, 1, self.rows_per_bank) {
+            let (page, offset) = Self::split(victim);
+            if page >= self.pages.len() {
+                self.pages.resize_with(page + 1, || None);
+            }
+            let charges = self.pages[page].get_or_insert_with(|| Box::new([0.0; PAGE_ROWS]));
+            let c = &mut charges[offset];
+            *c += charge;
+            if *c > self.max_charge {
+                self.max_charge = *c;
+                self.worst_victim = Some(victim);
+            }
+        }
+    }
+}
+
 /// The security harness for a single protected bank.
 #[derive(Debug)]
 pub struct SecurityHarness {
@@ -85,12 +159,10 @@ pub struct SecurityHarness {
     clm: ChargeLossModel,
     timings: DramTimings,
     rfm: RfmCounter,
-    blast_radius: u32,
-    rows_per_bank: u32,
     threshold: u64,
-    victim_charge: HashMap<RowId, f64>,
-    max_charge: f64,
-    worst_victim: Option<RowId>,
+    victims: VictimLedger,
+    /// Reused for every activation's and closure's mitigations.
+    requests: Vec<MitigationRequest>,
     mitigations: u64,
     accesses: u64,
     now: Cycle,
@@ -110,12 +182,9 @@ impl SecurityHarness {
             clm: ChargeLossModel::new(alpha, timings),
             timings: timings.clone(),
             rfm: RfmCounter::new(config.effective_rfm_threshold(timings)),
-            blast_radius: 2,
-            rows_per_bank: config.rows_per_bank,
             threshold: config.rowhammer_threshold,
-            victim_charge: HashMap::new(),
-            max_charge: 0.0,
-            worst_victim: None,
+            victims: VictimLedger::new(config.rows_per_bank, 2),
+            requests: Vec::new(),
             mitigations: 0,
             accesses: 0,
             now: 0,
@@ -152,35 +221,16 @@ impl SecurityHarness {
 
     /// Charge currently accumulated by `row` (0 if never damaged or already refreshed).
     pub fn victim_charge(&self, row: RowId) -> f64 {
-        self.victim_charge.get(&row).copied().unwrap_or(0.0)
+        self.victims.charge(row)
     }
 
-    fn refresh_victims(&mut self, aggressor: RowId) {
-        for d in 1..=self.blast_radius {
-            if let Some(below) = aggressor.checked_sub(d) {
-                self.victim_charge.remove(&below);
-            }
-            let above = aggressor + d;
-            if above < self.rows_per_bank {
-                self.victim_charge.remove(&above);
-            }
-        }
-    }
-
-    fn damage_victims(&mut self, aggressor: RowId, charge: f64) {
-        // Immediately adjacent rows take the full damage; this matches the paper's
-        // threshold definition (TRH counts activations of the adjacent aggressor).
-        for neighbour in [aggressor.checked_sub(1), Some(aggressor + 1)] {
-            let Some(v) = neighbour else { continue };
-            if v >= self.rows_per_bank {
-                continue;
-            }
-            let c = self.victim_charge.entry(v).or_insert(0.0);
-            *c += charge;
-            if *c > self.max_charge {
-                self.max_charge = *c;
-                self.worst_victim = Some(v);
-            }
+    /// Applies the mitigations in `self.requests`, each charging the attacker
+    /// `cost` cycles.
+    fn apply_mitigations(&mut self, cost: Cycle) {
+        for m in &self.requests {
+            self.mitigations += 1;
+            self.victims.refresh(m.aggressor);
+            self.now += cost;
         }
     }
 
@@ -222,18 +272,18 @@ impl SecurityHarness {
             if self.rfm_enabled {
                 if let Some(m) = self.engine.on_rfm(self.now) {
                     self.mitigations += 1;
-                    self.refresh_victims(m.aggressor);
+                    self.victims.refresh(m.aggressor);
                 }
             }
         }
 
+        // A mitigation costs the attacker 4 victim activations worth of time.
+        let mitigation_cost = 4 * self.timings.t_rc;
         let opened_at = self.now;
-        for m in self.engine.on_activate(row, opened_at) {
-            self.mitigations += 1;
-            self.refresh_victims(m.aggressor);
-            // A mitigation costs the attacker 4 victim activations worth of time.
-            self.now += 4 * self.timings.t_rc;
-        }
+        self.requests.clear();
+        self.engine
+            .on_activate_into(row, opened_at, &mut self.requests);
+        self.apply_mitigations(mitigation_cost);
 
         let closed_at = opened_at + t_on;
         let closed = ClosedRow {
@@ -243,14 +293,12 @@ impl SecurityHarness {
             closed_at,
         };
         // Ground-truth damage of this access (pre-evaluated, possibly in batch).
-        self.damage_victims(row, charge);
+        self.victims.damage(row, charge);
         self.now = closed_at + self.timings.t_pre;
 
-        for m in self.engine.on_close(&closed) {
-            self.mitigations += 1;
-            self.refresh_victims(m.aggressor);
-            self.now += 4 * self.timings.t_rc;
-        }
+        self.requests.clear();
+        self.engine.on_close_into(&closed, &mut self.requests);
+        self.apply_mitigations(mitigation_cost);
 
         // RFM cadence for in-DRAM trackers.
         if self.rfm_enabled && self.rfm.on_activation() {
@@ -258,7 +306,7 @@ impl SecurityHarness {
             self.now += self.timings.t_rfm;
             if let Some(m) = self.engine.on_rfm(self.now) {
                 self.mitigations += 1;
-                self.refresh_victims(m.aggressor);
+                self.victims.refresh(m.aggressor);
             }
         }
     }
@@ -314,8 +362,8 @@ impl SecurityHarness {
     /// The report for everything replayed so far.
     pub fn report(&self) -> SecurityReport {
         SecurityReport {
-            max_unmitigated_charge: self.max_charge,
-            worst_victim: self.worst_victim,
+            max_unmitigated_charge: self.victims.max_charge,
+            worst_victim: self.victims.worst_victim,
             accesses: self.accesses,
             mitigations: self.mitigations,
             duration: self.now,
@@ -443,11 +491,22 @@ mod tests {
                 DefenseKind::express_paper_baseline(&t),
                 129,
             ),
+            // Counted window events: presses up to the refresh-postponement cap.
+            (
+                TrackerChoice::Graphene,
+                DefenseKind::ImpressN {
+                    alpha: Alpha::Conservative,
+                },
+                400,
+            ),
         ] {
+            let long = matches!(defense, DefenseKind::ImpressN { .. });
             let pattern: Vec<AggressorAccess> = (0..count)
                 .map(|i| {
                     if i % 3 == 0 {
                         AggressorAccess::hammer(400 + (i % 5))
+                    } else if long {
+                        AggressorAccess::press(400 + (i % 5), (i as u64 * 7_919) % (6 * t.t_refi))
                     } else {
                         AggressorAccess::press(400 + (i % 5), t.t_ras + (i as u64 * 977) % 40_000)
                     }
@@ -484,6 +543,27 @@ mod tests {
         let b = summary.run(pattern.iter().copied(), u64::MAX);
         assert_eq!(a, b);
         assert!(a.mitigations > 0);
+    }
+
+    /// Victims are the in-bank neighbours of an aggressor, found without
+    /// wrapping: an aggressor at `u32::MAX` damages nothing (its upper
+    /// neighbour must not wrap around to row 0), and one on the bank's last
+    /// row damages only the row below.
+    #[test]
+    fn aggressors_at_the_row_range_edges_charge_only_in_bank_victims() {
+        let mut h = harness(TrackerChoice::Para, DefenseKind::NoRp, 1.0);
+        let report = h.run((0..10).map(|_| AggressorAccess::hammer(u32::MAX)), u64::MAX);
+        assert_eq!(report.accesses, 10);
+        assert_eq!(report.worst_victim, None);
+        assert_eq!(report.max_unmitigated_charge, 0.0);
+        assert_eq!(h.victim_charge(0), 0.0);
+
+        let last = (1 << 16) - 1;
+        let mut h = harness(TrackerChoice::Para, DefenseKind::NoRp, 1.0);
+        let report = h.run((0..10).map(|_| AggressorAccess::hammer(last)), u64::MAX);
+        assert_eq!(report.worst_victim, Some(last - 1));
+        assert_eq!(h.victim_charge(last + 1), 0.0);
+        assert_eq!(h.victim_charge(0), 0.0);
     }
 
     #[test]

@@ -184,6 +184,68 @@ impl EactCounter {
     }
 }
 
+/// The effect of `count` equal [`EactCounter::add`]s on a counter that rolls back
+/// to `base` whenever it reaches `threshold` whole activations — the per-record
+/// mitigation rule of Graphene (`base` = spillover) and PRAC (`base` = 0) —
+/// computed in O(1): the adds up to the first crossing, whole periods of
+/// `base` → crossing, then the remainder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RolledRun {
+    /// Raw value after the first add (and its roll-back, if it crossed).
+    pub first_raw: u64,
+    /// Raw value after the last add.
+    pub final_raw: u64,
+    /// Threshold crossings, one mitigation each.
+    pub crossings: u64,
+}
+
+impl RolledRun {
+    pub(crate) fn compute(start: u64, weight: u64, count: u32, threshold: u64, base: u64) -> Self {
+        // `raw >> 7 >= threshold` is `raw >= limit`; no u64 reaches a limit
+        // that overflows.
+        let limit = threshold.checked_mul(u64::from(Eact::ONE.raw()));
+        // Adds from `from` up to and including the first crossing, if any.
+        let to_cross = |from: u64| -> Option<u64> {
+            let limit = limit?;
+            if from.saturating_add(weight) >= limit {
+                Some(1)
+            } else if weight == 0 {
+                None
+            } else {
+                Some((limit - from).div_ceil(weight))
+            }
+        };
+        let step = |raw: u64| {
+            let raw = raw.saturating_add(weight);
+            if limit.is_some_and(|limit| raw >= limit) {
+                base
+            } else {
+                raw
+            }
+        };
+        let count = u64::from(count);
+        let (final_raw, crossings) = match to_cross(start) {
+            Some(first) if first <= count => {
+                let left = count - first;
+                match to_cross(base) {
+                    Some(period) => (
+                        base.saturating_add((left % period) * weight),
+                        1 + left / period,
+                    ),
+                    // Zero weight below the limit: the counter stays at `base`.
+                    None => (base, 1),
+                }
+            }
+            _ => (start.saturating_add(weight.saturating_mul(count)), 0),
+        };
+        Self {
+            first_raw: step(start),
+            final_raw,
+            crossings,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +342,45 @@ mod tests {
             let e1 = Eact::from_open_time(a, T_PRE, T_RC, 7);
             let e2 = Eact::from_open_time(a + delta, T_PRE, T_RC, 7);
             prop_assert!(e2 >= e1);
+        }
+
+        /// The closed-form run equals the add-and-roll-back loop it replaces,
+        /// including zero weights, a base at or past the limit, limits that
+        /// overflow u64, and counters that saturate.
+        #[test]
+        fn rolled_run_matches_the_loop(
+            start in 0u64..8_000,
+            weight in 0u64..1_500,
+            count in 0u32..700,
+            threshold in 0u64..40,
+            base in 0u64..8_000,
+            shape in 0u32..4,
+        ) {
+            let (start, weight, threshold) = match shape {
+                // A limit just below u64::MAX, crossed by a saturating counter.
+                1 => (u64::MAX - start, weight, (u64::MAX >> 7) - threshold),
+                // Whole activations past u64::MAX >> 7: the limit overflows.
+                2 => (u64::MAX - start, weight, (u64::MAX >> 7) + 1 + threshold),
+                3 => (start, 0, threshold),
+                _ => (start, weight, threshold),
+            };
+            let mut raw = start;
+            let mut first_raw = None;
+            let mut crossings = 0;
+            for _ in 0..count {
+                raw = raw.saturating_add(weight);
+                if raw >> CANONICAL_FRAC_BITS >= threshold {
+                    raw = base;
+                    crossings += 1;
+                }
+                first_raw.get_or_insert(raw);
+            }
+            let run = RolledRun::compute(start, weight, count, threshold, base);
+            prop_assert_eq!(run.final_raw, raw);
+            prop_assert_eq!(run.crossings, crossings);
+            if let Some(first_raw) = first_raw {
+                prop_assert_eq!(run.first_raw, first_raw);
+            }
         }
     }
 }

@@ -45,7 +45,7 @@ use impress_dram::timing::Cycle;
 use impress_dram::DramTimings;
 
 use crate::analysis::{graphene_entries, graphene_internal_threshold};
-use crate::eact::{Eact, EactCounter, CANONICAL_FRAC_BITS};
+use crate::eact::{Eact, EactCounter, RolledRun, CANONICAL_FRAC_BITS};
 use crate::index::RowSlotIndex;
 use crate::storage::{StorageEstimate, COUNTER_BITS, ROW_ADDRESS_BITS};
 use crate::summary::{engine_scaffolding, restock_free_slots, CountSummary, EvictionEngine};
@@ -275,6 +275,96 @@ impl Graphene {
         };
         Some(slot)
     }
+
+    /// Resolves one slot for a run of `len` same-row events, shared by
+    /// [`RowTracker::record_batch`] and [`RowTracker::record_run`]: the match
+    /// path probes the index once; the miss path replays the per-record claim
+    /// attempts, event `k` weighing `eact_at(k)` (each failed attempt spills
+    /// that event's weight, exactly as `record` would, and leaves the index
+    /// untouched — so under the summary engine the miss position from `locate`
+    /// stays valid across attempts and the run still costs a single probe).
+    ///
+    /// Returns the slot and the number of leading events spilled before it was
+    /// claimed (the claiming event is not consumed: its add is the run's
+    /// first), or `None` when every event spilled.
+    fn resolve_run_slot(
+        &mut self,
+        row: RowId,
+        len: usize,
+        eact_at: impl Fn(usize) -> Eact,
+    ) -> Option<(usize, usize)> {
+        let hit = match self.engine {
+            EvictionEngine::Scan => self.index.get(row).ok_or(0),
+            EvictionEngine::Summary => self.index.locate(row),
+        };
+        let position = match hit {
+            Ok(slot) => return Some((slot, 0)),
+            Err(position) => position,
+        };
+        for k in 0..len {
+            let eact = self.quantize(eact_at(k));
+            let claimed = match self.engine {
+                EvictionEngine::Scan => self.claim_slot_scan(row, eact),
+                EvictionEngine::Summary => self.claim_slot_summary(row, eact, position),
+            };
+            if let Some(slot) = claimed {
+                return Some((slot, k));
+            }
+        }
+        None
+    }
+
+    /// Mirrors a run's final count into the summary with one splice.
+    /// `summary_count` is the summary's count for the slot when the run began
+    /// (`None` off the free list). Intermediate counts are never observed, and
+    /// the slot's final in-bucket position is the head whenever any per-record
+    /// splice would have `moved` it.
+    fn settle_summary(
+        &mut self,
+        slot: usize,
+        summary_count: Option<u64>,
+        final_raw: u64,
+        moved: bool,
+    ) {
+        if self.engine != EvictionEngine::Summary {
+            return;
+        }
+        if summary_count.is_none() {
+            self.summary.attach(slot, final_raw);
+        } else if moved {
+            // Force the move-to-head even when the final count matches the
+            // current bucket (`set_count` would early-return and leave the
+            // slot mid-bucket).
+            self.summary.detach(slot);
+            self.summary.attach(slot, final_raw);
+        } else {
+            self.summary.set_count(slot, final_raw);
+        }
+    }
+
+    /// The summary's current count for `slot`: equal to the table count on the
+    /// match path, the evicted victim's old count on a claim (the claim defers
+    /// its splice to [`Graphene::settle_summary`]), absent off the free list.
+    fn summary_count(&self, slot: usize) -> Option<u64> {
+        match self.engine {
+            EvictionEngine::Summary => self.summary.count_of(slot),
+            EvictionEngine::Scan => None,
+        }
+    }
+
+    fn push_mitigations(
+        &mut self,
+        row: RowId,
+        now: Cycle,
+        crossings: u64,
+        out: &mut Vec<MitigationRequest>,
+    ) {
+        self.mitigations += crossings;
+        out.extend((0..crossings).map(|_| MitigationRequest {
+            aggressor: row,
+            identified_at: now,
+        }));
+    }
 }
 
 impl RowTracker for Graphene {
@@ -343,64 +433,24 @@ impl RowTracker for Graphene {
             if j < rows.len() {
                 self.index.prefetch(rows[j]);
             }
-            // Resolve one slot for the whole run: the match path probes the
-            // index once; the miss path replays the per-record claim attempts
-            // (each failed attempt spills that event's weight, exactly as
-            // `record` would, and leaves the index untouched — so under the
-            // summary engine the miss position from `locate` stays valid
-            // across attempts and the run still costs a single probe).
-            let mut k = i;
-            let slot = match self.engine {
-                EvictionEngine::Scan => match self.index.get(row) {
-                    Some(slot) => Some(slot),
-                    None => loop {
-                        if k == j {
-                            break None;
-                        }
-                        let eact = self.quantize(eacts[k]);
-                        match self.claim_slot_scan(row, eact) {
-                            Some(slot) => break Some(slot),
-                            None => k += 1,
-                        }
-                    },
-                },
-                EvictionEngine::Summary => match self.index.locate(row) {
-                    Ok(slot) => Some(slot),
-                    Err(position) => loop {
-                        if k == j {
-                            break None;
-                        }
-                        let eact = self.quantize(eacts[k]);
-                        match self.claim_slot_summary(row, eact, position) {
-                            Some(slot) => break Some(slot),
-                            None => k += 1,
-                        }
-                    },
-                },
-            };
-            let Some(slot) = slot else {
+            let run = &eacts[i..j];
+            let Some((slot, spilled)) = self.resolve_run_slot(row, run.len(), |k| run[k]) else {
                 // The entire run went to the spillover counter.
                 i = j;
                 continue;
             };
+            let run = &run[spilled..];
 
             // Run-length aggregation: one weighted add when the run cannot
             // cross the internal threshold, a per-event walk on the resolved
             // slot (plain u64 arithmetic, no further probes) when it can.
             let mut sum = 0u64;
-            for &e in &eacts[k..j] {
+            for &e in run {
                 sum = sum.saturating_add(u64::from(self.quantize(e).raw()));
             }
             let start = self.table[slot].count.raw();
             let end = start.saturating_add(sum);
-            // The summary's current count for the slot: equal to `start` on the
-            // match path, the evicted victim's old count on a claim (the claim
-            // defers its splice to the fold below), absent off the free list.
-            let summary_count = if self.engine == EvictionEngine::Summary {
-                self.summary.count_of(slot)
-            } else {
-                None
-            };
+            let summary_count = self.summary_count(slot);
             // Whether the per-record loop's splices would have moved the slot
             // between buckets at least once. A moved slot sits at the LIFO head
             // of its final bucket even when the final count equals the summary's
@@ -420,15 +470,11 @@ impl RowTracker for Graphene {
                 // and the slot can leave its bucket and return to it.
                 let mut raw = start;
                 let mut walk_summary = summary_count.unwrap_or(u64::MAX);
-                for &e in &eacts[k..j] {
+                for &e in run {
                     raw = raw.saturating_add(u64::from(self.quantize(e).raw()));
                     if (raw >> CANONICAL_FRAC_BITS) >= threshold {
                         raw = self.spillover.raw();
-                        self.mitigations += 1;
-                        out.push(MitigationRequest {
-                            aggressor: row,
-                            identified_at: now,
-                        });
+                        self.push_mitigations(row, now, 1, out);
                     }
                     if raw != walk_summary {
                         walk_summary = raw;
@@ -438,26 +484,45 @@ impl RowTracker for Graphene {
                 raw
             };
             self.table[slot].count = EactCounter::from_raw(final_raw);
-            if self.engine == EvictionEngine::Summary {
-                // One splice for the whole run: intermediate counts are never
-                // observed, and the slot's final in-bucket position is the head
-                // whenever any per-record splice would have moved it.
-                if summary_count.is_some() {
-                    if moved {
-                        // Force the move-to-head even when the final count
-                        // matches the current bucket (`set_count` would
-                        // early-return and leave the slot mid-bucket).
-                        self.summary.detach(slot);
-                        self.summary.attach(slot, final_raw);
-                    } else {
-                        self.summary.set_count(slot, final_raw);
-                    }
-                } else {
-                    self.summary.attach(slot, final_raw);
-                }
-            }
+            self.settle_summary(slot, summary_count, final_raw, moved);
             i = j;
         }
+    }
+
+    fn record_run(
+        &mut self,
+        row: RowId,
+        eact: Eact,
+        count: u32,
+        now: Cycle,
+        out: &mut Vec<MitigationRequest>,
+    ) {
+        let Some((slot, spilled)) = self.resolve_run_slot(row, count as usize, |_| eact) else {
+            return;
+        };
+        // The events left after the claim replay all land on `slot`, whose
+        // counter follows the roll-back-to-spillover rule in closed form (the
+        // spillover no longer changes once the slot is resolved).
+        let left = count - spilled as u32;
+        let weight = u64::from(self.quantize(eact).raw());
+        let summary_count = self.summary_count(slot);
+        let run = RolledRun::compute(
+            self.table[slot].count.raw(),
+            weight,
+            left,
+            self.config.internal_threshold,
+            self.spillover.raw(),
+        );
+        self.push_mitigations(row, now, run.crossings, out);
+        // Without a crossing the counts are monotone and `set_count` already
+        // moves the slot exactly when the final count differs. With one, the
+        // per-record splices moved it unless every count equalled the
+        // summary's, and they all do once the first does: the summary holds
+        // the start count (match) or at most the spillover (claim), so a first
+        // count equal to it is a fixed point of the add-and-roll-back step.
+        let moved = run.crossings > 0 && Some(run.first_raw) != summary_count;
+        self.table[slot].count = EactCounter::from_raw(run.final_raw);
+        self.settle_summary(slot, summary_count, run.final_raw, moved);
     }
 
     fn headroom(&self) -> u64 {

@@ -121,6 +121,27 @@ impl RowTracker for Mint {
     // register updates (no table, no RNG — randomness is drawn in `on_rfm`),
     // so there is nothing for run-length aggregation to amortize.
 
+    fn record_run(
+        &mut self,
+        row: RowId,
+        eact: Eact,
+        count: u32,
+        _now: Cycle,
+        _out: &mut Vec<MitigationRequest>,
+    ) {
+        // CAN only grows, so at most one of the run's adds crosses SAN, and
+        // one does exactly when the whole run steps over it.
+        let weight = u64::from(self.quantize(eact).raw());
+        let before = self.can.raw();
+        let after = before.saturating_add(weight.saturating_mul(u64::from(count)));
+        self.can = EactCounter::from_raw(after);
+        let san = self.san.raw();
+        if before < san && after >= san {
+            self.sar = Some(row);
+            self.selections += 1;
+        }
+    }
+
     fn headroom(&self) -> u64 {
         // `record` never returns a mitigation (MINT only mitigates under RFM,
         // and batch stagers flush before every RFM), so any weight can be

@@ -198,6 +198,111 @@ impl Mithril {
         };
         self.index.insert(row, slot);
     }
+
+    /// Resolves one slot for a run of `len` same-row events, shared by
+    /// [`RowTracker::record_batch`] and [`RowTracker::record_run`]. On a miss
+    /// the per-record claim attempts are replayed exactly, event `k` weighing
+    /// `eact_at(k)`: each failed attempt spills that event's weight; the
+    /// claiming attempt installs at spillover + eact, absorbing its own event.
+    ///
+    /// Returns the slot and the number of events consumed (spilled or
+    /// absorbed by the claim), or `None` when every event spilled.
+    fn resolve_run_slot(
+        &mut self,
+        row: RowId,
+        len: usize,
+        eact_at: impl Fn(usize) -> Eact,
+    ) -> Option<(usize, usize)> {
+        match self.engine {
+            EvictionEngine::Scan => {
+                if let Some(slot) = self.index.get(row) {
+                    return Some((slot, 0));
+                }
+                for k in 0..len {
+                    let eact = self.quantize(eact_at(k));
+                    let mut count = self.spillover;
+                    count.add(eact);
+                    let mut first_invalid = usize::MAX;
+                    let mut min_idx = 0usize;
+                    let mut min_raw = u64::MAX;
+                    for (s, e) in self.table.iter().enumerate() {
+                        if !e.valid {
+                            first_invalid = s;
+                            break;
+                        }
+                        if e.count.raw() < min_raw {
+                            min_raw = e.count.raw();
+                            min_idx = s;
+                        }
+                    }
+                    if first_invalid != usize::MAX {
+                        self.install(first_invalid, row, count);
+                        return Some((first_invalid, k + 1));
+                    } else if min_raw <= self.spillover.raw() {
+                        self.index.remove(self.table[min_idx].row);
+                        self.install(min_idx, row, count);
+                        return Some((min_idx, k + 1));
+                    }
+                    self.spillover.add(eact);
+                }
+                None
+            }
+            EvictionEngine::Summary => {
+                // `position` stays valid across failed attempts: a failed
+                // claim only grows the spillover counter.
+                let position = match self.index.locate(row) {
+                    Ok(slot) => return Some((slot, 0)),
+                    Err(position) => position,
+                };
+                for k in 0..len {
+                    let eact = self.quantize(eact_at(k));
+                    let mut count = self.spillover;
+                    count.add(eact);
+                    if let Some(free) = self.free_slots.pop() {
+                        let slot = free as usize;
+                        self.index.insert_at(position, row, slot);
+                        self.table[slot] = Entry {
+                            row,
+                            count,
+                            valid: true,
+                        };
+                        self.summary.attach(slot, count.raw());
+                        return Some((slot, k + 1));
+                    }
+                    if let Some(slot) = self
+                        .summary
+                        .evict_min_if_at_most(self.spillover.raw(), count.raw())
+                    {
+                        debug_assert!(
+                            self.free_slots.is_empty(),
+                            "eviction considered while invalid slots remain"
+                        );
+                        self.index.insert_at(position, row, slot);
+                        self.index.remove(self.table[slot].row);
+                        self.table[slot] = Entry {
+                            row,
+                            count,
+                            valid: true,
+                        };
+                        return Some((slot, k + 1));
+                    }
+                    self.spillover.add(eact);
+                }
+                None
+            }
+        }
+    }
+
+    /// Adds `weight` (raw Q7) to `slot`'s counter with one summary splice.
+    fn add_to_slot(&mut self, slot: usize, weight: u64) {
+        if weight > 0 {
+            let final_raw = self.table[slot].count.raw().saturating_add(weight);
+            self.table[slot].count = EactCounter::from_raw(final_raw);
+            if self.engine == EvictionEngine::Summary {
+                self.summary.set_count(slot, final_raw);
+            }
+        }
+    }
 }
 
 impl RowTracker for Mithril {
@@ -308,119 +413,33 @@ impl RowTracker for Mithril {
             while j < rows.len() && rows[j] == row {
                 j += 1;
             }
-            // Resolve one slot for the whole run. On a miss the per-record
-            // claim attempts are replayed exactly (each failed attempt spills
-            // that event's weight; the claiming attempt installs at
-            // spillover + eact, absorbing its own event) until one sticks.
-            let mut k = i;
-            let slot = match self.engine {
-                EvictionEngine::Scan => match self.index.get(row) {
-                    Some(slot) => Some(slot),
-                    None => loop {
-                        if k == j {
-                            break None;
-                        }
-                        let eact = self.quantize(eacts[k]);
-                        let mut count = self.spillover;
-                        count.add(eact);
-                        let mut first_invalid = usize::MAX;
-                        let mut min_idx = 0usize;
-                        let mut min_raw = u64::MAX;
-                        for (s, e) in self.table.iter().enumerate() {
-                            if !e.valid {
-                                first_invalid = s;
-                                break;
-                            }
-                            if e.count.raw() < min_raw {
-                                min_raw = e.count.raw();
-                                min_idx = s;
-                            }
-                        }
-                        if first_invalid != usize::MAX {
-                            self.install(first_invalid, row, count);
-                            k += 1;
-                            break Some(first_invalid);
-                        } else if min_raw <= self.spillover.raw() {
-                            self.index.remove(self.table[min_idx].row);
-                            self.install(min_idx, row, count);
-                            k += 1;
-                            break Some(min_idx);
-                        }
-                        self.spillover.add(eact);
-                        k += 1;
-                    },
-                },
-                EvictionEngine::Summary => match self.index.locate(row) {
-                    Ok(slot) => Some(slot),
-                    Err(position) => loop {
-                        // `position` stays valid across failed attempts: a
-                        // failed claim only grows the spillover counter.
-                        if k == j {
-                            break None;
-                        }
-                        let eact = self.quantize(eacts[k]);
-                        let mut count = self.spillover;
-                        count.add(eact);
-                        if let Some(free) = self.free_slots.pop() {
-                            let slot = free as usize;
-                            self.index.insert_at(position, row, slot);
-                            self.table[slot] = Entry {
-                                row,
-                                count,
-                                valid: true,
-                            };
-                            self.summary.attach(slot, count.raw());
-                            k += 1;
-                            break Some(slot);
-                        }
-                        match self
-                            .summary
-                            .evict_min_if_at_most(self.spillover.raw(), count.raw())
-                        {
-                            Some(slot) => {
-                                debug_assert!(
-                                    self.free_slots.is_empty(),
-                                    "eviction considered while invalid slots remain"
-                                );
-                                self.index.insert_at(position, row, slot);
-                                self.index.remove(self.table[slot].row);
-                                self.table[slot] = Entry {
-                                    row,
-                                    count,
-                                    valid: true,
-                                };
-                                k += 1;
-                                break Some(slot);
-                            }
-                            None => {
-                                self.spillover.add(eact);
-                                k += 1;
-                            }
-                        }
-                    },
-                },
-            };
-            let Some(slot) = slot else {
-                // The entire run went to the spillover counter.
-                i = j;
-                continue;
-            };
-
-            // Run-length aggregation of the remaining events: Mithril never
-            // mitigates in `record`, so the whole tail collapses into one
-            // weighted add and (under the summary engine) one splice.
-            let mut sum = 0u64;
-            for &e in &eacts[k..j] {
-                sum = sum.saturating_add(u64::from(self.quantize(e).raw()));
-            }
-            if sum > 0 {
-                let final_raw = self.table[slot].count.raw().saturating_add(sum);
-                self.table[slot].count = EactCounter::from_raw(final_raw);
-                if self.engine == EvictionEngine::Summary {
-                    self.summary.set_count(slot, final_raw);
+            let run = &eacts[i..j];
+            if let Some((slot, consumed)) = self.resolve_run_slot(row, run.len(), |k| run[k]) {
+                // Run-length aggregation of the remaining events: Mithril never
+                // mitigates in `record`, so the whole tail collapses into one
+                // weighted add and (under the summary engine) one splice.
+                let mut sum = 0u64;
+                for &e in &run[consumed..] {
+                    sum = sum.saturating_add(u64::from(self.quantize(e).raw()));
                 }
+                self.add_to_slot(slot, sum);
             }
             i = j;
+        }
+    }
+
+    fn record_run(
+        &mut self,
+        row: RowId,
+        eact: Eact,
+        count: u32,
+        _now: Cycle,
+        _out: &mut Vec<MitigationRequest>,
+    ) {
+        if let Some((slot, consumed)) = self.resolve_run_slot(row, count as usize, |_| eact) {
+            let left = u64::from(count) - consumed as u64;
+            let weight = u64::from(self.quantize(eact).raw());
+            self.add_to_slot(slot, weight.saturating_mul(left));
         }
     }
 

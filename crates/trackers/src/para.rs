@@ -108,6 +108,29 @@ impl RowTracker for Para {
         }
     }
 
+    fn record_run(
+        &mut self,
+        row: RowId,
+        eact: Eact,
+        count: u32,
+        now: Cycle,
+        out: &mut Vec<MitigationRequest>,
+    ) {
+        // One draw per activation keeps the RNG stream; only the probability
+        // is shared.
+        let p = eact.scale_probability(self.probability);
+        self.decisions += u64::from(count);
+        for _ in 0..count {
+            if self.rng.gen_bool(p) {
+                self.mitigations += 1;
+                out.push(MitigationRequest {
+                    aggressor: row,
+                    identified_at: now,
+                });
+            }
+        }
+    }
+
     // PARA inherits the default `headroom` of 0: each record can mitigate with
     // nonzero probability, so no span is provably mitigation-free and every
     // event must take the per-record path (preserving the RNG stream).

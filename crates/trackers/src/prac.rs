@@ -14,7 +14,7 @@ use impress_dram::address::RowId;
 use impress_dram::timing::Cycle;
 
 use crate::analysis::prac_counter_bits;
-use crate::eact::{Eact, CANONICAL_FRAC_BITS};
+use crate::eact::{Eact, RolledRun, CANONICAL_FRAC_BITS};
 use crate::flat::FlatCounterTable;
 use crate::storage::StorageEstimate;
 use crate::tracker::{MitigationRequest, RowTracker, TrackerKind};
@@ -140,6 +140,37 @@ impl RowTracker for Prac {
                 }
             }
             i = j;
+        }
+    }
+
+    fn record_run(
+        &mut self,
+        row: RowId,
+        eact: Eact,
+        count: u32,
+        now: Cycle,
+        out: &mut Vec<MitigationRequest>,
+    ) {
+        if count == 0 {
+            return;
+        }
+        // One probe, then the reset-to-zero rule in closed form.
+        let slot = self.counters.slot_of(row);
+        let run = RolledRun::compute(
+            self.counters.counter_raw_at(slot),
+            u64::from(self.quantize(eact).raw()),
+            count,
+            self.alert_threshold,
+            0,
+        );
+        self.counters.set_counter_raw_at(slot, run.final_raw);
+        if run.crossings > 0 {
+            self.mitigations += run.crossings;
+            out.extend((0..run.crossings).map(|_| MitigationRequest {
+                aggressor: row,
+                identified_at: now,
+            }));
+            self.counters.recompute_max();
         }
     }
 

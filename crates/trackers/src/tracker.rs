@@ -76,26 +76,28 @@ impl MitigationRequest {
     /// reuses the buffer across mitigations).
     pub fn victims_into(&self, blast_radius: u32, rows_per_bank: u32, out: &mut Vec<RowId>) {
         for d in 1..=blast_radius {
-            if let Some(below) = self.aggressor.checked_sub(d) {
-                out.push(below);
-            }
-            let above = self.aggressor + d;
-            if above < rows_per_bank {
-                out.push(above);
-            }
+            out.extend(neighbours(self.aggressor, d, rows_per_bank));
         }
     }
 
     /// Number of victim rows [`MitigationRequest::victims`] would return, without
     /// materializing them — what the controller needs to charge mitigation time.
     pub fn victim_count(&self, blast_radius: u32, rows_per_bank: u32) -> u64 {
-        let mut count = 0u64;
-        for d in 1..=blast_radius {
-            count += u64::from(self.aggressor.checked_sub(d).is_some());
-            count += u64::from(self.aggressor + d < rows_per_bank);
-        }
-        count
+        (1..=blast_radius)
+            .map(|d| neighbours(self.aggressor, d, rows_per_bank).count() as u64)
+            .sum()
     }
+}
+
+/// The rows at distance `d` below and above `row` that lie inside
+/// `[0, rows_per_bank)`, below first. Both sides are computed with checked
+/// arithmetic, so an aggressor at either end of the `u32` range has no
+/// wrapped-around neighbour.
+pub fn neighbours(row: RowId, d: u32, rows_per_bank: u32) -> impl Iterator<Item = RowId> {
+    [row.checked_sub(d), row.checked_add(d)]
+        .into_iter()
+        .flatten()
+        .filter(move |&v| v < rows_per_bank)
 }
 
 /// A Rowhammer tracking mechanism for one DRAM bank.
@@ -139,6 +141,37 @@ pub trait RowTracker: fmt::Debug + Send {
         out: &mut Vec<MitigationRequest>,
     ) {
         for (&row, &eact) in rows.iter().zip(eacts) {
+            if let Some(m) = self.record(row, eact, now) {
+                out.push(m);
+            }
+        }
+    }
+
+    /// Records `count` activations of `row`, each weighing `eact`, all at `now`,
+    /// appending any mitigation requests to `out` — a *counted event*, which is how
+    /// ImPress-N reports the full `tRC` windows a row stayed open.
+    ///
+    /// The contract is *exact equivalence to `count` calls of
+    /// [`RowTracker::record`]*: the same mitigation sequence appended to `out`,
+    /// the same tracker state afterwards (counters, spillover, and the order of
+    /// slots inside `CountSummary` buckets, which breaks eviction ties) and the
+    /// same RNG stream. `count == 0` records nothing.
+    ///
+    /// The default is that loop. Trackers override it to cost O(1) in `count`
+    /// where their update rule allows: closed-form threshold crossings (Graphene,
+    /// PRAC), one weighted add (Mithril, MINT), or at least a loop without the
+    /// per-record dispatch (PARA, which must draw once per activation). Graphene
+    /// and Mithril first replay the claim attempts of a row missing from a full
+    /// table one event at a time, as [`RowTracker::record_batch`] does.
+    fn record_run(
+        &mut self,
+        row: RowId,
+        eact: Eact,
+        count: u32,
+        now: Cycle,
+        out: &mut Vec<MitigationRequest>,
+    ) {
+        for _ in 0..count {
             if let Some(m) = self.record(row, eact, now) {
                 out.push(m);
             }
@@ -226,6 +259,29 @@ mod tests {
         };
         let v = high.victims(2, 1 << 16);
         assert_eq!(v, vec![(1 << 16) - 2, (1 << 16) - 3]);
+    }
+
+    #[test]
+    fn victims_skip_neighbours_outside_the_bank_without_wrapping() {
+        // An aggressor at the top of the u32 range must not wrap its upper
+        // neighbours to rows 0 and 1, and rows past the bank have no victims.
+        let top = MitigationRequest {
+            aggressor: u32::MAX,
+            identified_at: 0,
+        };
+        assert!(top.victims(2, 1 << 16).is_empty());
+        assert_eq!(top.victim_count(2, 1 << 16), 0);
+        // With the whole u32 range as the bank only the rows below remain.
+        assert_eq!(top.victims(2, u32::MAX), vec![u32::MAX - 1, u32::MAX - 2]);
+        assert_eq!(top.victim_count(2, u32::MAX), 2);
+        let near_top = MitigationRequest {
+            aggressor: u32::MAX - 1,
+            identified_at: 0,
+        };
+        assert_eq!(
+            near_top.victims(2, u32::MAX),
+            vec![u32::MAX - 2, u32::MAX - 3]
+        );
     }
 
     #[test]
