@@ -158,11 +158,13 @@ pub trait RowTracker: fmt::Debug + Send {
     /// same RNG stream. `count == 0` records nothing.
     ///
     /// The default is that loop. Trackers override it to cost O(1) in `count`
-    /// where their update rule allows: closed-form threshold crossings (Graphene,
-    /// PRAC), one weighted add (Mithril, MINT), or at least a loop without the
-    /// per-record dispatch (PARA, which must draw once per activation). Graphene
-    /// and Mithril first replay the claim attempts of a row missing from a full
-    /// table one event at a time, as [`RowTracker::record_batch`] does.
+    /// where their update rule allows: closed-form threshold crossings
+    /// (Graphene, PRAC) or one weighted add (Mithril, MINT). PARA must draw once
+    /// per activation, so its override is still a loop, but one that scales the
+    /// probability once and draws inline instead of making an out-of-line
+    /// `record` call per activation. Graphene and Mithril first replay the
+    /// claim attempts of a row missing from a full table one event at a time,
+    /// as [`RowTracker::record_batch`] does.
     fn record_run(
         &mut self,
         row: RowId,

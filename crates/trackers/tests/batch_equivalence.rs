@@ -23,6 +23,7 @@ use impress_trackers::graphene::GrapheneConfig;
 use impress_trackers::mithril::MithrilConfig;
 use impress_trackers::{
     Eact, EvictionEngine, Graphene, Mint, Mithril, MitigationRequest, Para, Prac, RowTracker,
+    StorageEstimate, TrackerKind,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -351,6 +352,29 @@ fn same_graphene(per: &Graphene, run: &Graphene, universe: u32) {
     }
 }
 
+/// Forwards only the required methods and `record` to `T`, so `record_run`
+/// is the trait's default loop, which every shipped tracker overrides.
+#[derive(Debug)]
+struct DefaultRun<T>(T);
+
+impl<T: RowTracker> RowTracker for DefaultRun<T> {
+    fn record(&mut self, row: RowId, eact: Eact, now: u64) -> Option<MitigationRequest> {
+        self.0.record(row, eact, now)
+    }
+
+    fn kind(&self) -> TrackerKind {
+        self.0.kind()
+    }
+
+    fn storage(&self) -> StorageEstimate {
+        self.0.storage()
+    }
+
+    fn configured_threshold(&self) -> u64 {
+        self.0.configured_threshold()
+    }
+}
+
 fn same_mithril(per: &Mithril, run: &Mithril, universe: u32) {
     assert_eq!(run.mitigations(), per.mitigations());
     assert_eq!(run.spillover_raw(), per.spillover_raw());
@@ -517,6 +541,29 @@ proptest! {
                 per.on_refresh_window(0);
                 run.on_refresh_window(0);
             }
+        });
+    }
+
+    #[test]
+    fn default_record_run_matches_repeated_record(
+        seed in 0u64..1_000_000,
+        engine_summary in 0u32..2,
+        universe in 4u32..64,
+    ) {
+        // Graphene mitigates from `record` and keeps summary tie order, so the
+        // default loop's output and the state it leaves are both compared.
+        let config = GrapheneConfig {
+            threshold: 100,
+            internal_threshold: 24,
+            entries: 4,
+            frac_bits: 7,
+        };
+        let mut per = DefaultRun(Graphene::with_engine(config.clone(), engine(engine_summary)));
+        let mut run = DefaultRun(Graphene::with_engine(config, engine(engine_summary)));
+        let events = runs(seed, 40, universe);
+        let suffix = stream(seed ^ 0x5AFF, 300, universe);
+        drive_runs(&mut per, &mut run, &events, &suffix, |_, per, run| {
+            same_graphene(&per.0, &run.0, universe);
         });
     }
 
