@@ -20,6 +20,8 @@ fn bench_bank(c: &mut Criterion) {
         });
     });
 
+    // The reference decode against the decoder the run loops compile once
+    // per run, on the same address stream.
     c.bench_function("mop_address_decode", |b| {
         let org = DramOrganization::baseline();
         let mapping = AddressMapping::paper_default();
@@ -27,6 +29,16 @@ fn bench_bank(c: &mut Criterion) {
         b.iter(|| {
             addr = (addr + 4096) % org.capacity_bytes();
             black_box(mapping.decode(PhysicalAddress::new(addr), &org).unwrap())
+        });
+    });
+
+    c.bench_function("mop_address_decoder", |b| {
+        let org = DramOrganization::baseline();
+        let decoder = AddressMapping::paper_default().decoder(&org);
+        let mut addr = 0u64;
+        b.iter(|| {
+            addr = (addr + 4096) % org.capacity_bytes();
+            black_box(decoder.decode(PhysicalAddress::new(addr)).unwrap())
         });
     });
 }

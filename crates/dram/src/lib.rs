@@ -53,7 +53,7 @@ pub use bank::{Bank, BankState, ClosedRow};
 pub use command::{DramCommand, DramCommandKind};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::DramError;
-pub use mapping::{AddressMapping, BitField, BitInterleaving};
+pub use mapping::{AddressDecoder, AddressMapping, BitField, BitInterleaving};
 pub use organization::DramOrganization;
 pub use refresh::RefreshScheduler;
 pub use rfm::RfmCounter;

@@ -68,11 +68,18 @@ impl BitField {
     }
 
     /// A contiguous run of `len` bits starting at `offset` (the common case).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_FIELD_BITS`] or the run reaches bit 64,
+    /// the same positions [`BitField::new`] refuses.
     pub fn contiguous(offset: u8, len: u8) -> Self {
         assert!((len as usize) <= MAX_FIELD_BITS, "bit field too wide");
         let mut pos = [0u8; MAX_FIELD_BITS];
-        for i in 0..len {
-            pos[i as usize] = offset + i;
+        for (i, p) in pos[..len as usize].iter_mut().enumerate() {
+            let bit = offset as usize + i;
+            assert!(bit < 64, "bit position {bit} out of range");
+            *p = bit as u8;
         }
         Self { len, pos }
     }
@@ -474,6 +481,10 @@ impl AddressMapping {
 
     /// Decodes a physical address into a DRAM location under organization `org`.
     ///
+    /// This is the reference decode: it re-derives the organization's geometry
+    /// on every call. Loops that decode many addresses under one organization
+    /// use [`AddressMapping::decoder`], which returns exactly what this does.
+    ///
     /// # Errors
     ///
     /// Returns [`DramError::AddressOutOfRange`] if the address lies beyond the
@@ -590,6 +601,25 @@ impl AddressMapping {
         })
     }
 
+    /// Compiles this mapping against `org` for decoding many addresses.
+    ///
+    /// [`AddressDecoder::decode`] returns exactly what
+    /// [`AddressMapping::decode`] returns, every `Ok` and every `Err`. For
+    /// [`AddressMapping::Mop`] on a power-of-two organization the geometry is
+    /// worked out here, once, so an in-range address costs a few shifts and
+    /// masks; every other mapping and geometry calls the reference decode.
+    pub fn decoder(&self, org: &DramOrganization) -> AddressDecoder {
+        let mop = match *self {
+            AddressMapping::Mop { lines_per_chunk } => MopPlan::new(org, lines_per_chunk),
+            _ => None,
+        };
+        AddressDecoder {
+            mapping: *self,
+            org: org.clone(),
+            mop,
+        }
+    }
+
     /// Encodes a DRAM location back into the physical address of its cache line —
     /// the exact inverse of [`AddressMapping::decode`]: for every line-aligned
     /// address `a`, `encode(decode(a)) == a`, and for every in-bounds location
@@ -673,6 +703,122 @@ impl AddressMapping {
                 }
                 (1u64 << contiguous_lines) * org.line_bytes as u64
             }
+        }
+    }
+}
+
+/// An [`AddressMapping`] compiled against one organization by
+/// [`AddressMapping::decoder`], for loops that decode every record of a run.
+#[derive(Debug, Clone)]
+pub struct AddressDecoder {
+    mapping: AddressMapping,
+    org: DramOrganization,
+    /// Shifts and masks of a power-of-two MOP layout; `None` sends every
+    /// address to the reference decode.
+    mop: Option<MopPlan>,
+}
+
+impl AddressDecoder {
+    /// Decodes `addr` exactly as [`AddressMapping::decode`] does under the
+    /// organization this decoder was compiled for.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`AddressMapping::decode`], unchanged.
+    #[inline]
+    pub fn decode(&self, addr: PhysicalAddress) -> Result<DramAddress, DramError> {
+        match self.mop {
+            // Below the capacity every coordinate of a power-of-two MOP layout
+            // is in range, so the plan never has to produce an error.
+            Some(ref plan) if addr.as_u64() < plan.capacity => Ok(plan.decode(addr.as_u64())),
+            _ => self.mapping.decode(addr, &self.org),
+        }
+    }
+}
+
+/// [`AddressMapping::Mop`] on a power-of-two organization as fixed bit runs of
+/// the line index, LSB first: the chunk's column bits, the channel, the flat
+/// bank (bank, bank group, rank), the remaining column bits and the row.
+/// These are the steps of the reference decode with every division by a power
+/// of two already resolved to a shift.
+#[derive(Debug, Clone, Copy)]
+struct MopPlan {
+    /// Exclusive bound on byte addresses the plan decodes.
+    capacity: u64,
+    line_shift: u32,
+    chunk_bits: u32,
+    chunk_mask: u64,
+    channel_shift: u32,
+    channel_mask: u64,
+    flat_bank_shift: u32,
+    flat_bank_mask: u64,
+    bank_mask: u64,
+    group_shift: u32,
+    group_mask: u64,
+    rank_shift: u32,
+    column_hi_shift: u32,
+    column_hi_mask: u64,
+    row_shift: u32,
+}
+
+impl MopPlan {
+    /// The plan for `org`, or `None` when a dimension, the line size or
+    /// `lines_per_chunk` is not a power of two, the chunk is wider than a
+    /// row, or the address does not fit in 63 bits.
+    fn new(org: &DramOrganization, lines_per_chunk: u32) -> Option<Self> {
+        let dims = MappingDims::of(org).ok()?;
+        let line_shift = u32::from(log2_exact(org.line_bytes as u64, "line_bytes").ok()?);
+        let chunk_bits = u32::from(log2_exact(lines_per_chunk as u64, "lines_per_chunk").ok()?);
+        let column_bits = u32::from(dims.column);
+        if chunk_bits > column_bits {
+            return None;
+        }
+        let (bank, group, rank) = (
+            u32::from(dims.bank),
+            u32::from(dims.bank_group),
+            u32::from(dims.rank),
+        );
+        let channel_shift = chunk_bits;
+        let flat_bank_shift = channel_shift + u32::from(dims.channel);
+        let column_hi_shift = flat_bank_shift + bank + group + rank;
+        let row_shift = column_hi_shift + column_bits - chunk_bits;
+        // Below 2^63 `capacity_bytes` is exact and no shift can overflow.
+        if line_shift + row_shift + u32::from(dims.row) > 63 {
+            return None;
+        }
+        let mask = |bits: u32| (1u64 << bits) - 1;
+        Some(Self {
+            capacity: org.capacity_bytes(),
+            line_shift,
+            chunk_bits,
+            chunk_mask: mask(chunk_bits),
+            channel_shift,
+            channel_mask: mask(u32::from(dims.channel)),
+            flat_bank_shift,
+            flat_bank_mask: mask(bank + group + rank),
+            bank_mask: mask(bank),
+            group_shift: bank,
+            group_mask: mask(group),
+            rank_shift: bank + group,
+            column_hi_shift,
+            column_hi_mask: mask(column_bits - chunk_bits),
+            row_shift,
+        })
+    }
+
+    /// Decodes an address below `capacity`.
+    #[inline(always)]
+    fn decode(&self, addr: u64) -> DramAddress {
+        let line = addr >> self.line_shift;
+        let flat_bank = (line >> self.flat_bank_shift) & self.flat_bank_mask;
+        let column_hi = (line >> self.column_hi_shift) & self.column_hi_mask;
+        DramAddress {
+            channel: ((line >> self.channel_shift) & self.channel_mask) as u8,
+            rank: (flat_bank >> self.rank_shift) as u8,
+            bank_group: ((flat_bank >> self.group_shift) & self.group_mask) as u8,
+            bank: (flat_bank & self.bank_mask) as u8,
+            row: (line >> self.row_shift) as RowId,
+            column: ((column_hi << self.chunk_bits) | (line & self.chunk_mask)) as u32,
         }
     }
 }
@@ -777,6 +923,61 @@ mod tests {
     fn bit_field_rejects_bad_positions() {
         assert!(std::panic::catch_unwind(|| BitField::new(&[1, 1])).is_err());
         assert!(std::panic::catch_unwind(|| BitField::new(&[64])).is_err());
+        assert!(std::panic::catch_unwind(|| BitField::contiguous(u8::MAX, 2)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "bit position 64 out of range")]
+    fn contiguous_field_rejects_positions_past_bit_63() {
+        // 56..=63 is the highest run that fits; one bit more is refused.
+        assert_eq!(
+            BitField::contiguous(56, 8).positions(),
+            &[56, 57, 58, 59, 60, 61, 62, 63]
+        );
+        BitField::contiguous(60, 8);
+    }
+
+    /// Organizations the compiled decoder is checked on: the two presets, one
+    /// with several ranks and channels, and a non-power-of-two one that gets
+    /// no MOP plan.
+    fn decoder_organizations() -> [DramOrganization; 4] {
+        [
+            DramOrganization::small(),
+            DramOrganization::baseline(),
+            DramOrganization {
+                channels: 2,
+                ranks: 4,
+                ..DramOrganization::small()
+            },
+            DramOrganization {
+                bank_groups: 3,
+                rows_per_bank: 3000,
+                columns_per_row: 96,
+                ..DramOrganization::small()
+            },
+        ]
+    }
+
+    /// Every mapping a decoder can be compiled from on `org`: the arithmetic
+    /// schemes, plus each bit-interleaved constructor `org` admits.
+    fn decoder_mappings(org: &DramOrganization) -> Vec<AddressMapping> {
+        let mut maps = vec![
+            AddressMapping::Mop { lines_per_chunk: 8 },
+            AddressMapping::Mop { lines_per_chunk: 4 },
+            AddressMapping::RowInterleaved,
+            AddressMapping::CachelineInterleaved,
+        ];
+        maps.extend(
+            [
+                AddressMapping::bit_interleaved_mop(org, 8),
+                AddressMapping::bit_interleaved_row(org),
+                AddressMapping::bit_interleaved_cacheline(org),
+                BitInterleaving::row_bank_col(org).map(AddressMapping::BitInterleaved),
+            ]
+            .into_iter()
+            .flatten(),
+        );
+        maps
     }
 
     #[test]
@@ -923,9 +1124,31 @@ mod tests {
         }
 
         /// The bit-sliced constructors are bit-exact to the arithmetic schemes
-        /// they generalize, on every in-bounds address.
+        /// they generalize, on every in-bounds address; and a compiled decoder
+        /// returns the reference decode's whole `Result`, errors included, for
+        /// every mapping and organization.
         #[test]
-        fn bit_interleaved_constructors_match_arithmetic(line in 0u64..4_000_000) {
+        fn bit_interleaved_constructors_match_arithmetic(
+            line in 0u64..4_000_000,
+            fraction in 0u64..1 << 32,
+        ) {
+            for org in decoder_organizations() {
+                let capacity = org.capacity_bytes();
+                // Anywhere in [0, 2 × capacity), so half the probes are errors.
+                let probe = ((2 * capacity as u128 * fraction as u128) >> 32) as u64;
+                let has_mop_plan = MappingDims::of(&org).is_ok();
+                for map in decoder_mappings(&org) {
+                    let decoder = map.decoder(&org);
+                    if let AddressMapping::Mop { .. } = map {
+                        prop_assert_eq!(decoder.mop.is_some(), has_mop_plan);
+                    }
+                    for a in [probe, 0, capacity - 1, capacity, u64::MAX] {
+                        let a = PhysicalAddress::new(a);
+                        prop_assert_eq!(decoder.decode(a), map.decode(a, &org));
+                    }
+                }
+            }
+
             let org = DramOrganization::small();
             let addr = PhysicalAddress::new(line * 64);
             prop_assume!(addr.as_u64() < org.capacity_bytes());

@@ -253,8 +253,7 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
             lock_task(&tasks, i).shard.set_record_batching(true);
         }
     }
-    let mapping = cfg.mapping;
-    let organization = &cfg.organization;
+    let decoder = cfg.mapping.decoder(&cfg.organization);
     let has_gaps = reader.meta().has_gaps;
     let workload = reader.meta().name.clone();
     let window_records = options.window_records.max(1);
@@ -319,11 +318,9 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                 } else {
                     DEFAULT_GAP as Cycle
                 };
-                let location = mapping
-                    .decode(record.to_access().address, organization)
-                    .map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("record {records}: {e}"))
-                    })?;
+                let location = decoder.decode(record.to_access().address).map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("record {records}: {e}"))
+                })?;
                 queues[location.channel as usize].push(QueuedAccess {
                     location,
                     is_write: record.is_write,

@@ -142,8 +142,9 @@ impl<S: AccessSource> System<S> {
         let tasks_ref = &tasks;
         let cores_ref = &mut cores;
         let mix_ref = &mut mix;
-        let mapping = controller_config.mapping;
-        let organization = &controller_config.organization;
+        let decoder = controller_config
+            .mapping
+            .decoder(&controller_config.organization);
         let mut epoch_stats = EpochStats::default();
         let epoch_stats_ref = &mut epoch_stats;
 
@@ -213,8 +214,8 @@ impl<S: AccessSource> System<S> {
                         }
                         ready.pop();
                         let access = mix_ref.next_access(core_id);
-                        let location = mapping
-                            .decode(access.address, organization)
+                        let location = decoder
+                            .decode(access.address)
                             .expect("workload addresses are within the configured capacity");
                         let channel = location.channel as usize;
                         queues[channel].push(QueuedAccess {

@@ -701,8 +701,7 @@ impl TraceRunner {
                 lock_task(&tasks, i).shard.set_record_batching(true);
             }
         }
-        let mapping = cfg.mapping;
-        let organization = &cfg.organization;
+        let decoder = cfg.mapping.decoder(&cfg.organization);
         let has_gaps = reader.meta().has_gaps;
         let workload = reader.meta().name.clone();
         let window_records = self.window_records;
@@ -751,14 +750,9 @@ impl TraceRunner {
                     } else {
                         DEFAULT_GAP as Cycle
                     };
-                    let location = mapping
-                        .decode(record.to_access().address, organization)
-                        .map_err(|e| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("record {records}: {e}"),
-                            )
-                        })?;
+                    let location = decoder.decode(record.to_access().address).map_err(|e| {
+                        io::Error::new(io::ErrorKind::InvalidData, format!("record {records}: {e}"))
+                    })?;
                     queues[location.channel as usize].push(QueuedAccess {
                         location,
                         is_write: record.is_write,

@@ -14,8 +14,9 @@
 //! All integers are little-endian. Frames are self-delimiting and checksummed, so a
 //! reader can stream chunk-by-chunk from a file, a pipe or a socket without knowing
 //! the total length in advance, and corruption is detected at frame granularity.
-//! Records are exactly [`RECORD_BYTES`] wide so an mmap'd payload can be cast to a
-//! record array by readers that want zero-copy access.
+//! Records are exactly [`RECORD_BYTES`] wide, so [`TraceReader`] decodes them in
+//! place: a validated frame's payload stays in the reader's byte buffer and each
+//! record is decoded only when it is yielded.
 //!
 //! # Corruption handling
 //!
@@ -125,6 +126,7 @@ impl TraceRecord {
     }
 
     /// Decodes a record from its 16-byte wire form.
+    #[inline]
     pub fn decode(bytes: &[u8; RECORD_BYTES]) -> Self {
         Self {
             address: u64::from_le_bytes(bytes[0..8].try_into().unwrap()),
@@ -338,7 +340,8 @@ impl<W: Write> TraceWriter<W> {
 }
 
 /// Streaming trace reader: pulls chunks from a [`TraceSource`], reassembles
-/// frames across chunk boundaries, verifies checksums and yields records.
+/// frames across chunk boundaries, verifies checksums and yields records,
+/// decoding each one in place from the validated frame payload.
 #[derive(Debug)]
 pub struct TraceReader<S: TraceSource> {
     source: S,
@@ -349,11 +352,12 @@ pub struct TraceReader<S: TraceSource> {
     /// Absolute stream offset of `buf[0]` (bytes consumed and compacted away).
     base: u64,
     meta: TraceMeta,
-    /// Decoded records of the current frame, yielded in order.
-    frame: Vec<TraceRecord>,
-    frame_at: usize,
-    /// Absolute offset of the current frame's first byte (its magic).
-    frame_start: u64,
+    /// `buf[frame_next..frame_end]` holds the current frame's records not yet
+    /// yielded. The frame is already consumed (`at` points past its checksum)
+    /// and [`TraceReader::want`] only runs once it is drained, so these bytes
+    /// stay put and `base` stays fixed while it is yielded.
+    frame_next: usize,
+    frame_end: usize,
     /// Frames decoded successfully so far.
     frames_decoded: u64,
     exhausted: bool,
@@ -397,9 +401,8 @@ impl<S: TraceSource> TraceReader<S> {
                 has_gaps: false,
                 instructions_per_miss: Vec::new(),
             },
-            frame: Vec::new(),
-            frame_at: 0,
-            frame_start: 0,
+            frame_next: 0,
+            frame_end: 0,
             frames_decoded: 0,
             exhausted: false,
             mode,
@@ -431,8 +434,8 @@ impl<S: TraceSource> TraceReader<S> {
     /// Deterministic for a given stream, which is what checkpoint/resume
     /// validation keys on.
     pub fn position(&self) -> u64 {
-        if self.frame_at < self.frame.len() {
-            self.frame_start + 8 + (self.frame_at * RECORD_BYTES) as u64
+        if self.frame_next < self.frame_end {
+            self.base + self.frame_next as u64
         } else {
             self.byte_offset()
         }
@@ -476,12 +479,16 @@ impl<S: TraceSource> TraceReader<S> {
     ///
     /// Returns `InvalidData` on a corrupt frame (bad magic or checksum) and
     /// `UnexpectedEof` if the stream ends inside a frame.
+    #[inline]
     pub fn next_record(&mut self) -> io::Result<Option<TraceRecord>> {
         loop {
-            if self.frame_at < self.frame.len() {
-                let r = self.frame[self.frame_at];
-                self.frame_at += 1;
-                return Ok(Some(r));
+            if self.frame_next < self.frame_end {
+                let at = self.frame_next;
+                self.frame_next = at + RECORD_BYTES;
+                let bytes = self.buf[at..at + RECORD_BYTES]
+                    .try_into()
+                    .expect("16 bytes");
+                return Ok(Some(TraceRecord::decode(bytes)));
             }
             if !self.read_frame()? {
                 return Ok(None);
@@ -593,6 +600,9 @@ impl<S: TraceSource> TraceReader<S> {
     }
 
     /// Reads and verifies the next frame; returns false at the end of the stream.
+    /// Kept out of line: it runs once per frame, and [`TraceReader::next_record`]
+    /// inlines into per-record loops.
+    #[inline(never)]
     fn read_frame(&mut self) -> io::Result<bool> {
         match self.mode {
             DecodeMode::Strict => self.read_frame_strict(),
@@ -632,30 +642,15 @@ impl<S: TraceSource> TraceReader<S> {
         if frame_checksum(payload) != stored {
             return Err(self.corrupt_err("trace frame checksum mismatch", start));
         }
-        self.decode_frame_payload(payload_start, payload_len, count, start);
+        self.yield_frame(payload_start, payload_len);
         Ok(true)
     }
 
-    /// Decodes the validated payload at `buf[payload_start..]` into the frame
-    /// buffer. The payload has already been consumed (`at` points past it).
-    fn decode_frame_payload(
-        &mut self,
-        payload_start: usize,
-        payload_len: usize,
-        count: usize,
-        frame_start: u64,
-    ) {
-        let payload = &self.buf[payload_start..payload_start + payload_len];
-        self.frame.clear();
-        self.frame_at = 0;
-        self.frame.reserve(count);
-        for i in 0..count {
-            let bytes: &[u8; RECORD_BYTES] = payload[i * RECORD_BYTES..(i + 1) * RECORD_BYTES]
-                .try_into()
-                .unwrap();
-            self.frame.push(TraceRecord::decode(bytes));
-        }
-        self.frame_start = frame_start;
+    /// Starts yielding the validated payload at `buf[payload_start..]`, which
+    /// has already been consumed (`at` points past it).
+    fn yield_frame(&mut self, payload_start: usize, payload_len: usize) {
+        self.frame_next = payload_start;
+        self.frame_end = payload_start + payload_len;
         self.frames_decoded += 1;
     }
 
@@ -703,9 +698,9 @@ impl<S: TraceSource> TraceReader<S> {
                 self.resync_skip(start, FaultKind::ChecksumMismatch, count as u64)?;
                 continue;
             }
-            // Valid frame: consume it wholesale and decode.
+            // Valid frame: consume it wholesale and yield it in place.
             self.at += 8 + payload_len + 8;
-            self.decode_frame_payload(payload_start, payload_len, count, start);
+            self.yield_frame(payload_start, payload_len);
             return Ok(true);
         }
     }
@@ -853,10 +848,43 @@ mod tests {
     #[test]
     fn reader_handles_tiny_chunks() {
         // 1-byte chunks force every structure to straddle chunk boundaries.
-        let records = sample_records(300);
+        // Every chunk size, in both modes, yields the same records, and
+        // `position()` before each one is what the frame layout says: the
+        // frame's start between frames, the record's first byte inside one.
+        let records = sample_records(FRAME_RECORDS + 300);
         let bytes = write_sample(&records);
-        let mut r = TraceReader::new(SliceSource::with_chunk_size(&bytes, 1)).unwrap();
-        assert_eq!(r.read_all().unwrap(), records);
+        let frame_len = 8 + FRAME_RECORDS * RECORD_BYTES + 8;
+        let header_len = bytes.len() - frame_len - (8 + 300 * RECORD_BYTES + 8);
+        let expected_positions: Vec<u64> = (0..records.len())
+            .map(|i| {
+                let frame_start = header_len + i / FRAME_RECORDS * frame_len;
+                match i % FRAME_RECORDS {
+                    0 => frame_start as u64,
+                    slot => (frame_start + 8 + slot * RECORD_BYTES) as u64,
+                }
+            })
+            .collect();
+        for mode in [DecodeMode::Strict, DecodeMode::Resync] {
+            for chunk in [Some(1), Some(100), Some(4096), None] {
+                let source = match chunk {
+                    Some(n) => SliceSource::with_chunk_size(&bytes, n),
+                    None => SliceSource::new(&bytes),
+                };
+                let mut r = TraceReader::with_mode(source, mode).unwrap();
+                let (mut got, mut positions) = (Vec::new(), Vec::new());
+                loop {
+                    let position = r.position();
+                    let Some(record) = r.next_record().unwrap() else {
+                        break;
+                    };
+                    got.push(record);
+                    positions.push(position);
+                }
+                assert_eq!(got, records, "{mode:?}, chunk {chunk:?}");
+                assert_eq!(positions, expected_positions, "{mode:?}, chunk {chunk:?}");
+                assert_eq!(r.position(), bytes.len() as u64);
+            }
+        }
     }
 
     #[test]
