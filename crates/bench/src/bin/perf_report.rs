@@ -25,7 +25,7 @@
 //!    reports must match bit for bit (no eviction ⇒ exact lockstep), and (b) the
 //!    rotating + straddling churn patterns, where the summary engine's maximum
 //!    unmitigated disturbance must not exceed the scan engine's. Both engines are
-//!    exercised explicitly, independent of the `IMPRESS_EVICTION` default.
+//!    exercised explicitly.
 //! 5. **Trace ingestion and replay** — the PR 6 frontend under the PR 8 batched
 //!    record kernels. Times the end-to-end open-loop ingest pipeline (frame
 //!    decode → checksum → mapping → epoch loop → window telemetry) on an
@@ -35,11 +35,6 @@
 //!    (both best-of-[`INGEST_SAMPLES`]); then records a synthetic stream and
 //!    gates closed-loop **replay bit-identity** against the in-process run at
 //!    1, 2 and 4 shard threads.
-//! 6. **Record-batch determinism** — the PR 8 acceptance gate: open-loop ingest
-//!    with the bank-batched tracker kernels must produce a byte-identical
-//!    verdict JSON (and identical window telemetry and memory statistics) to
-//!    the per-record path at every [`REPLAY_THREAD_COUNTS`] shard thread
-//!    count.
 //!
 //! Usage:
 //!
@@ -51,9 +46,8 @@
 //! * `--out PATH`: where to write the JSON report (default `BENCH_PR8.json`).
 //!
 //! Exit code is non-zero if any determinism, equivalence, security, batching,
-//! churn-throughput, sweep-wall, trace-ingest, replay-identity or record-batch
-//! gate fails, so CI uses this binary as a correctness gate as well as a
-//! benchmark.
+//! churn-throughput, sweep-wall, trace-ingest or replay-identity gate fails,
+//! so CI uses this binary as a correctness gate as well as a benchmark.
 
 use std::time::Instant;
 
@@ -741,38 +735,6 @@ fn main() {
         ));
     }
 
-    // ---- Axis 5 (PR 8): record-batch determinism ------------------------------
-    // The bank-batched tracker kernels must be observationally invisible: the
-    // same trace ingested with batching forced off and on yields a
-    // byte-identical verdict JSON and identical window telemetry and memory
-    // statistics, at every gated shard thread count.
-    let batch_configuration = named_configuration("graphene-impress-p").expect("named");
-    let mut record_batch_ok = true;
-    let mut record_batch_lines = Vec::new();
-    for shard_threads in REPLAY_THREAD_COUNTS {
-        let run = |batched: bool| {
-            let reader = TraceReader::new(SliceSource::new(&trace_bytes)).expect("trace header");
-            TraceRunner::new()
-                .with_shard_threads(shard_threads)
-                .with_record_batching(batched)
-                .ingest(reader, &batch_configuration)
-                .expect("trace ingest")
-        };
-        let per_record = run(false);
-        let batched = run(true);
-        let identical = batched.verdict.to_json() == per_record.verdict.to_json()
-            && batched.windows == per_record.windows
-            && batched.memory == per_record.memory;
-        record_batch_ok &= identical;
-        eprintln!(
-            "perf_report: record-batch determinism @ {shard_threads} shard threads: \
-             batched == per-record: {identical}"
-        );
-        record_batch_lines.push(format!(
-            "      {{ \"shard_threads\": {shard_threads}, \"identical\": {identical} }}"
-        ));
-    }
-
     // Closed-loop replay: record the synthetic stream, then the replay must be
     // bit-identical to the in-process run at every gated shard thread count.
     let replay_workload = "mcf";
@@ -811,7 +773,7 @@ fn main() {
 
     let json = format!(
         "{{\n\
-         \x20 \"schema_version\": 6,\n\
+         \x20 \"schema_version\": 7,\n\
          \x20 \"pr\": 8,\n\
          \x20 \"binary\": \"perf_report\",\n\
          \x20 \"mode\": \"{mode}\",\n\
@@ -858,8 +820,6 @@ fn main() {
          \x20   \"records\": {n_trace_records},\n\
          \x20   \"ingest_gate\": {{ \"samples\": {INGEST_SAMPLES}, \
          \"passed\": {ingest_gate_ok}, \"scenarios\": [\n{ingest_json}\n    ] }},\n\
-         \x20   \"record_batch_gate\": {{ \"scenario\": \"graphene-impress-p\", \
-         \"passed\": {record_batch_ok}, \"runs\": [\n{record_batch_json}\n    ] }},\n\
          \x20   \"replay_gate\": {{ \"workload\": \"{replay_workload}\", \
          \"requests_per_core\": {replay_requests_per_core}, \
          \"passed\": {replay_gate_ok}, \"runs\": [\n{replay_json}\n    ] }}\n\
@@ -871,14 +831,13 @@ fn main() {
         n_workloads = workloads.len(),
         n_configs = configurations.len(),
         channels = SHARDED_CHANNELS,
-        default_engine = EvictionEngine::from_env().label(),
+        default_engine = EvictionEngine::default().label(),
         gate_json = gate_lines.join(",\n"),
         workload_json = workload_lines.join(",\n"),
         churn_json = churn_lines.join(",\n"),
         security_json = security_lines.join(",\n"),
         n_trace_records = ingest_records.len(),
         ingest_json = ingest_lines.join(",\n"),
-        record_batch_json = record_batch_lines.join(",\n"),
         replay_json = replay_lines.join(",\n"),
         tracker_json = tracker_lines.join(",\n"),
     );
@@ -892,7 +851,6 @@ fn main() {
          sharded {sharded_ms_total:.0} ms (x{shard_speedup:.2}, identical: {sharded_identical}, \
          batch gate: {batch_gate_ok}); churn gate: {churn_gate_ok}; \
          equivalence gate: {equivalence_ok}; trace ingest gate: {ingest_gate_ok}; \
-         record-batch gate: {record_batch_ok}; \
          replay identity gate: {replay_gate_ok} -> {out_path}"
     );
     let mut failed = false;
@@ -938,13 +896,6 @@ fn main() {
             "perf_report: ERROR: trace ingest throughput below its gate on some \
              scenario (unprotected >= {TRACE_INGEST_GATE_MRPS}, protected >= \
              {PROTECTED_INGEST_GATE_MRPS} M records/s)"
-        );
-        failed = true;
-    }
-    if !record_batch_ok {
-        eprintln!(
-            "perf_report: ERROR: batched ingest diverged from the per-record \
-             path at some shard thread count"
         );
         failed = true;
     }

@@ -29,6 +29,8 @@
 //!     --follow streams a growing file/FIFO under the configurable
 //!     backoff/idle policy. --expect byte-compares the verdict against a
 //!     reference file and exits with EXIT_VERDICT_MISMATCH on any difference.
+//!     Runs the daemon's loop without checkpoints, so a shard-worker panic is
+//!     quarantined (outcome "quarantined") as it is under `trace daemon`.
 //!
 //! trace corrupt --in FILE --out FILE [--seed N]
 //!     Applies the seeded deterministic fault plan (bit flips, truncation,
@@ -602,7 +604,6 @@ fn cmd_daemon(args: &Args) -> io::Result<()> {
         shard_threads: args.get_u64("--shard-threads", 1) as usize,
         resync: args.has("--resync"),
         resume_from,
-        record_batch: None,
     };
 
     if let Some(listen) = listen {

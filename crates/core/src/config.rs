@@ -173,10 +173,9 @@ pub struct ProtectionConfig {
     /// Rows per bank (used to clip victim refreshes at the array edge).
     pub rows_per_bank: u32,
     /// Eviction engine for the counter-table trackers (Graphene, Mithril):
-    /// `None` defers to the `IMPRESS_EVICTION` environment default
-    /// ([`EvictionEngine::from_env`]), `Some` pins an engine explicitly (the A/B
-    /// harnesses and equivalence gates use this).
-    pub eviction: Option<EvictionEngine>,
+    /// [`EvictionEngine::Summary`] unless pinned otherwise (the A/B harnesses
+    /// and equivalence gates pin [`EvictionEngine::Scan`] as their reference).
+    pub eviction: EvictionEngine,
 }
 
 impl ProtectionConfig {
@@ -190,20 +189,14 @@ impl ProtectionConfig {
             rfm_threshold: 80,
             seed: 0xD2A4_0001,
             rows_per_bank: 1 << 16,
-            eviction: None,
+            eviction: EvictionEngine::default(),
         }
     }
 
     /// This configuration with the counter-tracker eviction engine pinned.
     pub fn with_eviction_engine(mut self, engine: EvictionEngine) -> Self {
-        self.eviction = Some(engine);
+        self.eviction = engine;
         self
-    }
-
-    /// The eviction engine counter trackers will be built with: the pinned one,
-    /// or the `IMPRESS_EVICTION` environment default.
-    pub fn eviction_engine(&self) -> EvictionEngine {
-        self.eviction.unwrap_or_else(EvictionEngine::from_env)
     }
 
     /// The threshold the tracker must actually be configured for after applying the
@@ -233,7 +226,7 @@ impl ProtectionConfig {
             TrackerChoice::Graphene => {
                 let mut cfg = GrapheneConfig::for_threshold(threshold);
                 cfg.frac_bits = frac_bits;
-                Box::new(Graphene::with_engine(cfg, self.eviction_engine()))
+                Box::new(Graphene::with_engine(cfg, self.eviction))
             }
             TrackerChoice::Para => {
                 let p = analysis::para_probability(threshold);
@@ -242,7 +235,7 @@ impl ProtectionConfig {
             TrackerChoice::Mithril => {
                 let cfg = MithrilConfig::with_rfm_threshold(threshold, self.rfm_threshold)
                     .with_frac_bits(frac_bits);
-                Box::new(Mithril::with_engine(cfg, self.eviction_engine()))
+                Box::new(Mithril::with_engine(cfg, self.eviction))
             }
             TrackerChoice::Mint => Box::new(Mint::new(
                 self.effective_rfm_threshold(timings),
@@ -379,11 +372,10 @@ mod tests {
             TrackerChoice::Graphene,
             DefenseKind::impress_p_default(),
         );
-        // Unpinned defers to the environment default (Summary in tests).
-        assert_eq!(base.eviction, None);
-        assert_eq!(base.eviction_engine(), EvictionEngine::from_env());
+        // Unpinned is the summary engine.
+        assert_eq!(base.eviction, EvictionEngine::Summary);
         let pinned = base.clone().with_eviction_engine(EvictionEngine::Scan);
-        assert_eq!(pinned.eviction_engine(), EvictionEngine::Scan);
+        assert_eq!(pinned.eviction, EvictionEngine::Scan);
         // Pinning shows up in the built trackers.
         let t = DramTimings::ddr5();
         for choice in [TrackerChoice::Graphene, TrackerChoice::Mithril] {

@@ -13,23 +13,6 @@ use impress_trackers::{Eact, MitigationRequest, RowTracker};
 use crate::config::ProtectionConfig;
 use crate::defense::{RowPressDefense, TrackedActivation};
 
-/// Environment variable selecting the tracker record path: unset (or any value
-/// other than `off`/`0`/`false`) uses the bank-batched kernels, `off` forces the
-/// per-record path (for A/B comparison, mirroring `IMPRESS_EVICTION`).
-pub const RECORD_BATCH_ENV: &str = "IMPRESS_RECORD_BATCH";
-
-/// Reads [`RECORD_BATCH_ENV`]: `true` (batched) unless the variable is set to
-/// `off`, `0` or `false` (case-insensitive).
-pub fn record_batching_from_env() -> bool {
-    match std::env::var(RECORD_BATCH_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => true,
-    }
-}
-
 /// Capacity of the per-bank staging buffer: bounds memory (8 KB per bank) and
 /// keeps flushes in cache-friendly chunks.
 const STAGE_CAPACITY: usize = 1024;
@@ -193,16 +176,14 @@ impl BankMitigationEngine {
         self.batching = on;
     }
 
-    /// Whether the batched record path is enabled.
-    pub fn record_batching(&self) -> bool {
-        self.batching
-    }
-
     /// Flushes any staged tracked events through the tracker's batch kernel.
     ///
     /// Called automatically at every point where deferred state could become
     /// observable (refresh windows, RFM, per-record fallbacks); callers only
     /// need it at end-of-run, before inspecting the tracker or merging stats.
+    // Out of line: flushes are rare, and inlining this body into its callers
+    // (refresh-window crossings, RFM) pushes those out of the per-event path.
+    #[inline(never)]
     pub fn flush_staged(&mut self) {
         if self.staged.is_empty() {
             return;

@@ -59,7 +59,7 @@ pub use clm::{Alpha, ChargeLoss, ChargeLossModel};
 pub use comparison::DefenseProperties;
 pub use config::{DefenseKind, ProtectionConfig, TrackerChoice};
 pub use defense::{NoRowPressDefense, RowPressDefense, TrackedActivation};
-pub use engine::{record_batching_from_env, BankMitigationEngine, EngineStats, RECORD_BATCH_ENV};
+pub use engine::{BankMitigationEngine, EngineStats};
 pub use express::Express;
 pub use impress_n::ImpressN;
 pub use impress_p::ImpressP;

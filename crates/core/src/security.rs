@@ -226,6 +226,8 @@ impl SecurityHarness {
 
     /// Applies the mitigations in `self.requests`, each charging the attacker
     /// `cost` cycles.
+    // Runs twice per replayed access, nearly always over no requests.
+    #[inline]
     fn apply_mitigations(&mut self, cost: Cycle) {
         for m in &self.requests {
             self.mitigations += 1;

@@ -1,12 +1,15 @@
 //! Supervised daemon-mode ingestion: checkpoints, watchdog, quarantine.
 //!
-//! [`supervise`] runs the same open-loop decode → route → execute pipeline as
-//! [`TraceRunner::ingest`](crate::trace_runner::TraceRunner), hardened for
+//! [`supervise`] runs the open-loop decode → route → execute loop that
+//! [`TraceRunner::ingest`](crate::trace_runner::TraceRunner::ingest) also runs
+//! (there with checkpoints, watchdog and resume off), hardened for
 //! long-running service operation:
 //!
-//! * **Checkpoints** — every [`DaemonOptions::checkpoint_every`] records the
-//!   daemon emits a canonical-JSON [`Checkpoint`] (record count, source byte
-//!   offset, window/ledger summary) through a caller-supplied sink. After a
+//! * **Checkpoints** — once at least [`DaemonOptions::checkpoint_every`]
+//!   records have passed since the last one, the daemon emits a
+//!   canonical-JSON [`Checkpoint`] (record count, source byte offset,
+//!   window/ledger summary) through a caller-supplied sink at the end of the
+//!   next epoch-pool round (a full batch or a telemetry window). After a
 //!   crash, [`DaemonOptions::resume_from`] restarts by *deterministic prefix
 //!   re-execution*: the stream is re-ingested from byte zero (the simulator's
 //!   state cannot be snapshotted cheaply, but re-execution is bit-exact), and
@@ -28,6 +31,7 @@
 //! tolerance and [`DecodeMode::Resync`] for corruption tolerance, this is the
 //! `trace daemon` CLI's engine.
 
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
 use std::io::Write as _;
@@ -165,10 +169,6 @@ pub struct DaemonOptions {
     /// Resume by re-executing the stream prefix and validating it against this
     /// checkpoint.
     pub resume_from: Option<Checkpoint>,
-    /// Whether tracked events stage through the bank-batched record kernels.
-    /// `None` defers to the `IMPRESS_RECORD_BATCH` environment variable
-    /// (default on); output is bit-identical either way.
-    pub record_batch: Option<bool>,
 }
 
 impl Default for DaemonOptions {
@@ -180,7 +180,6 @@ impl Default for DaemonOptions {
             shard_threads: 1,
             resync: false,
             resume_from: None,
-            record_batch: None,
         }
     }
 }
@@ -239,19 +238,35 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
     } else {
         DecodeMode::Strict
     };
-    let mut reader = TraceReader::with_mode(source, mode)?;
+    let reader = TraceReader::with_mode(source, mode)?;
+    ingest_loop(reader, configuration, options, on_checkpoint, round_hook)
+}
+
+/// The open-loop ingest loop: decode → route → execute → account, in
+/// [`INGEST_BATCH`]-record rounds of the epoch pool. [`supervise`] and
+/// [`TraceRunner::ingest`](crate::trace_runner::TraceRunner::ingest) both run
+/// it; `options.resync` is not read here, because `reader` already carries
+/// its decode mode.
+///
+/// After every round (a full batch or the end of a telemetry window) the
+/// reader's decode faults and transport events join the ledger, then a
+/// periodic checkpoint is published if one is due; a stream truncation is
+/// ledgered last. Tracked events stage through the bank-batched record
+/// kernels, whose output is identical to per-record recording.
+pub(crate) fn ingest_loop<S: TraceSource>(
+    mut reader: TraceReader<S>,
+    configuration: &Configuration,
+    options: &DaemonOptions,
+    on_checkpoint: &mut dyn FnMut(&Checkpoint) -> io::Result<()>,
+    round_hook: impl Fn(u64) + Sync,
+) -> io::Result<IngestReport> {
     let controller = MemoryController::new(configuration.controller_config());
     let (cfg, shards) = controller.into_parts();
     let min_latency = ChannelShard::min_access_latency(&cfg.timings);
     let tasks = make_tasks(shards, min_latency);
     let channels = tasks.len();
-    if options
-        .record_batch
-        .unwrap_or_else(impress_core::engine::record_batching_from_env)
-    {
-        for i in 0..channels {
-            lock_task(&tasks, i).shard.set_record_batching(true);
-        }
+    for i in 0..channels {
+        lock_task(&tasks, i).shard.set_record_batching(true);
     }
     let decoder = cfg.mapping.decoder(&cfg.organization);
     let has_gaps = reader.meta().has_gaps;
@@ -263,7 +278,7 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
     let round = AtomicU64::new(0);
     let (tasks_ref, round_ref) = (&tasks, &round);
 
-    type LoopOut = (u64, Cycle, Vec<WindowTelemetry>, FaultLedger);
+    type LoopOut = (u64, Cycle, VecDeque<WindowTelemetry>, FaultLedger);
     let result: io::Result<LoopOut> = impress_exec::epoch_scope(
         options.shard_threads.max(1),
         channels,
@@ -278,7 +293,7 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
             let mut now: Cycle = 0;
             let mut records: u64 = 0;
             let mut batched: usize = 0;
-            let mut windows: Vec<WindowTelemetry> = Vec::new();
+            let mut windows: VecDeque<WindowTelemetry> = VecDeque::new();
             let mut windows_emitted: u64 = 0;
             let mut window_start_records: u64 = 0;
             let mut prev = ChannelStats::default();
@@ -311,7 +326,18 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                 }
                 *batched = 0;
             };
+            // Telemetry of the window ending now: the statistics delta since
+            // the previous window's end.
+            let close_window = |prev: &mut ChannelStats, index: u64, records: u64, now: Cycle| {
+                let snap = ChannelStats::merged(
+                    (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
+                );
+                let window = WindowTelemetry::delta(index, records, now, prev, &snap);
+                *prev = snap;
+                window
+            };
 
+            check_resume(&mut resume_from, records, reader.position(), &mut ledger)?;
             while let Some(record) = reader.next_record()? {
                 now += if has_gaps {
                     record.gap as Cycle
@@ -328,35 +354,14 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                 });
                 records += 1;
                 batched += 1;
-
-                if let Some(cp) = resume_from {
-                    if records == cp.records {
-                        if reader.position() != cp.source_offset {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!(
-                                    "stream diverged from checkpoint: record {} is at byte {}, \
-                                     checkpoint pinned byte {}",
-                                    records,
-                                    reader.position(),
-                                    cp.source_offset
-                                ),
-                            ));
-                        }
-                        ledger.push(LedgerEntry::Resume {
-                            records,
-                            offset: cp.source_offset,
-                        });
-                        resume_from = None;
-                    }
+                if resume_from.is_some() {
+                    check_resume(&mut resume_from, records, reader.position(), &mut ledger)?;
                 }
 
-                if batched == INGEST_BATCH {
+                let window_full = records - window_start_records == window_records;
+                if batched == INGEST_BATCH || window_full {
                     flush(&mut queues, &mut batched, &mut ledger, windows_emitted);
-                    for f in reader.take_faults() {
-                        ledger.push(LedgerEntry::Decode(f));
-                    }
-                    ledger.absorb_transport(reader.take_transport_events());
+                    drain_reader(&mut reader, &mut ledger);
                     if options.checkpoint_every > 0
                         && records - last_checkpoint >= options.checkpoint_every
                     {
@@ -370,49 +375,37 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
                         last_checkpoint = records;
                     }
                 }
-                if records - window_start_records == window_records {
-                    flush(&mut queues, &mut batched, &mut ledger, windows_emitted);
-                    let snap = ChannelStats::merged(
-                        (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                    );
-                    windows.push(WindowTelemetry::delta(
+                if window_full {
+                    windows.push_back(close_window(
+                        &mut prev,
                         windows_emitted,
                         records - window_start_records,
                         now,
-                        &prev,
-                        &snap,
                     ));
                     windows_emitted += 1;
-                    prev = snap;
                     window_start_records = records;
                     // Watchdog: shed oldest telemetry before ever shedding a
                     // record.
                     if options.max_lag_windows > 0 && windows.len() > options.max_lag_windows {
-                        let shed = windows.remove(0);
-                        ledger.push(LedgerEntry::ShedWindow { window: shed.index });
+                        if let Some(shed) = windows.pop_front() {
+                            ledger.push(LedgerEntry::ShedWindow { window: shed.index });
+                        }
                     }
                 }
             }
             flush(&mut queues, &mut batched, &mut ledger, windows_emitted);
-            for f in reader.take_faults() {
-                ledger.push(LedgerEntry::Decode(f));
-            }
-            ledger.absorb_transport(reader.take_transport_events());
+            drain_reader(&mut reader, &mut ledger);
             if reader.truncated() {
                 ledger.push(LedgerEntry::TruncatedStream {
                     offset: reader.byte_offset(),
                 });
             }
             if records > window_start_records {
-                let snap = ChannelStats::merged(
-                    (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                );
-                windows.push(WindowTelemetry::delta(
+                windows.push_back(close_window(
+                    &mut prev,
                     windows_emitted,
                     records - window_start_records,
                     now,
-                    &prev,
-                    &snap,
                 ));
                 windows_emitted += 1;
             }
@@ -443,9 +436,9 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
             .into_iter()
             .map(|t| t.into_inner().unwrap_or_else(|e| e.into_inner()).shard)
             .map(|mut shard| {
-                // End-of-run flush (see `TraceRunner::ingest`): staged spans are
-                // mitigation-free, so stats are final; this only settles the
-                // trackers into their per-record-equivalent state.
+                // End-of-run flush: staged spans are mitigation-free, so the
+                // stats are already final; this only settles the trackers into
+                // their per-record-equivalent state.
                 shard.flush_staged_records();
                 shard.stats()
             }),
@@ -457,9 +450,52 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
         records,
         elapsed_cycles,
         memory,
-        windows,
+        windows: windows.into(),
         verdict,
     })
+}
+
+/// Validates a pending resume once `records` records have been re-read: the
+/// reader must stand at the checkpoint's pinned offset. A validated resume
+/// joins the ledger and clears `resume_from`; a mismatch means the source
+/// changed underneath the checkpoint, and the resume is refused.
+fn check_resume(
+    resume_from: &mut Option<Checkpoint>,
+    records: u64,
+    position: u64,
+    ledger: &mut FaultLedger,
+) -> io::Result<()> {
+    let Some(cp) = *resume_from else {
+        return Ok(());
+    };
+    if records != cp.records {
+        return Ok(());
+    }
+    if position != cp.source_offset {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "stream diverged from checkpoint: record {records} is at byte {position}, \
+                 checkpoint pinned byte {}",
+                cp.source_offset
+            ),
+        ));
+    }
+    ledger.push(LedgerEntry::Resume {
+        records,
+        offset: cp.source_offset,
+    });
+    *resume_from = None;
+    Ok(())
+}
+
+/// Moves the reader's decode faults and transport events into the ledger, in
+/// stream and arrival order.
+fn drain_reader<S: TraceSource>(reader: &mut TraceReader<S>, ledger: &mut FaultLedger) {
+    for f in reader.take_faults() {
+        ledger.push(LedgerEntry::Decode(f));
+    }
+    ledger.absorb_transport(reader.take_transport_events());
 }
 
 #[cfg(test)]
@@ -590,11 +626,112 @@ mod tests {
         assert_eq!(report.windows, plain.windows);
         assert_eq!(report.verdict, plain.verdict);
         assert_eq!(report.verdict.outcome(), "clean");
-        // Periodic checkpoints at the first batch boundaries past 20k and 40k
-        // records, plus the final one at end of stream.
+        // Periodic checkpoints at the first round ends (full batches or
+        // window ends) 20k records apart — the window ends at 20k and 40k —
+        // plus the final one at end of stream.
         assert_eq!(
             checkpoints.iter().map(|c| c.records).collect::<Vec<_>>(),
-            vec![28_192, 48_192, 50_000]
+            vec![20_000, 40_000, 50_000]
+        );
+    }
+
+    /// Strips the ledger's resume-marker lines.
+    fn without_resume_marker(json: &str) -> String {
+        json.lines()
+            .filter(|l| !l.contains("\"kind\": \"resume\""))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn windows_smaller_than_a_batch_still_publish_periodic_checkpoints() {
+        // Every window end flushes the batch before it fills, so the cadence
+        // must be checked at window ends too, or no periodic checkpoint lands.
+        let bytes = sample_trace(100_000);
+        let configuration = Configuration::unprotected();
+        let options = DaemonOptions {
+            window_records: 4_096,
+            checkpoint_every: 16_384,
+            ..DaemonOptions::default()
+        };
+        let mut checkpoints = Vec::new();
+        let full = supervise(
+            SliceSource::new(&bytes),
+            &configuration,
+            &options,
+            &mut |cp| {
+                checkpoints.push(*cp);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            checkpoints.iter().map(|c| c.records).collect::<Vec<_>>(),
+            vec![16_384, 32_768, 49_152, 65_536, 81_920, 98_304, 100_000]
+        );
+        let full_json = full.verdict.to_json_extended();
+        for cp in checkpoints {
+            let resumed = supervise(
+                SliceSource::new(&bytes),
+                &configuration,
+                &DaemonOptions {
+                    resume_from: Some(cp),
+                    ..options.clone()
+                },
+                &mut |_| Ok(()),
+            )
+            .unwrap();
+            let json = resumed.verdict.to_json_extended();
+            assert_ne!(json, full_json, "resume at {} left no marker", cp.records);
+            assert_eq!(
+                without_resume_marker(&json),
+                without_resume_marker(&full_json),
+                "resume at {} records",
+                cp.records
+            );
+            assert_eq!(resumed.windows, full.windows);
+        }
+    }
+
+    #[test]
+    fn resume_from_a_zero_record_checkpoint() {
+        let bytes = sample_trace(0);
+        let configuration = Configuration::unprotected();
+        let mut checkpoints = Vec::new();
+        let full = supervise(
+            SliceSource::new(&bytes),
+            &configuration,
+            &opts(),
+            &mut |cp| {
+                checkpoints.push(*cp);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(checkpoints.len(), 1);
+        assert_eq!(checkpoints[0].records, 0);
+        assert_eq!(checkpoints[0].source_offset, bytes.len() as u64);
+        let resumed = supervise(
+            SliceSource::new(&bytes),
+            &configuration,
+            &DaemonOptions {
+                resume_from: Some(checkpoints[0]),
+                ..opts()
+            },
+            &mut |_| Ok(()),
+        )
+        .unwrap();
+        assert_eq!(resumed.records, 0);
+        assert_eq!(
+            resumed.verdict.faults.entries,
+            vec![LedgerEntry::Resume {
+                records: 0,
+                offset: bytes.len() as u64
+            }]
+        );
+        assert_eq!(
+            without_resume_marker(&resumed.verdict.to_json_extended()),
+            without_resume_marker(&full.verdict.to_json_extended())
         );
     }
 

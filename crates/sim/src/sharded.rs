@@ -56,8 +56,9 @@ use impress_memctrl::ChannelShard;
 /// Both modes produce bit-for-bit identical simulation output (the issue schedule
 /// is the serial scheduler's either way); they differ only in how many issues are
 /// batched between barriers, i.e. in wall-clock cost. [`HorizonMode::Adaptive`] is
-/// the default; `Fixed` is retained as the reference point `perf_report` and the
-/// determinism suite compare against.
+/// what [`crate::System::run_with_threads`] runs; `Fixed` is reachable only
+/// through [`crate::System::run_with_horizon`], as the reference point
+/// `perf_report` and the determinism suite compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HorizonMode {
     /// Issue window capped at the guaranteed minimum access latency past the
@@ -67,28 +68,6 @@ pub enum HorizonMode {
     /// time depends on an unresolved completion.
     #[default]
     Adaptive,
-}
-
-/// Environment variable selecting the default [`HorizonMode`]
-/// (`fixed`/`adaptive`; anything else falls back to adaptive).
-pub const HORIZON_ENV: &str = "IMPRESS_HORIZON";
-
-impl HorizonMode {
-    /// The mode selected by the `IMPRESS_HORIZON` environment variable
-    /// (default: [`HorizonMode::Adaptive`]).
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var(HORIZON_ENV).ok().as_deref())
-    }
-
-    /// Parsing behind [`HorizonMode::from_env`], split out so tests can cover it
-    /// without mutating process-global environment state (tests in one binary
-    /// run concurrently, and other tests read the variable via `System::run`).
-    fn parse(value: Option<&str>) -> Self {
-        match value {
-            Some(v) if v.trim().eq_ignore_ascii_case("fixed") => HorizonMode::Fixed,
-            _ => HorizonMode::Adaptive,
-        }
-    }
 }
 
 /// Issue-batching statistics of one epoch-phased run.
@@ -219,18 +198,6 @@ pub(crate) fn lock_task(tasks: &ShardTasks, index: usize) -> std::sync::MutexGua
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn horizon_mode_parsing() {
-        // Exercises the parser directly rather than set_var/remove_var: tests in
-        // this binary run concurrently and others read the variable through
-        // `System::run`, so mutating the process environment here would race.
-        assert_eq!(HorizonMode::parse(Some("fixed")), HorizonMode::Fixed);
-        assert_eq!(HorizonMode::parse(Some(" FIXED ")), HorizonMode::Fixed);
-        assert_eq!(HorizonMode::parse(Some("adaptive")), HorizonMode::Adaptive);
-        assert_eq!(HorizonMode::parse(Some("nonsense")), HorizonMode::Adaptive);
-        assert_eq!(HorizonMode::parse(None), HorizonMode::Adaptive);
-    }
 
     #[test]
     fn epoch_stats_means() {

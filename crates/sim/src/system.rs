@@ -111,18 +111,19 @@ impl<S: AccessSource> System<S> {
     }
 
     /// Runs the epoch-phased loop with up to `threads` workers executing channel
-    /// shards (clamped to the channel count; `1` executes inline) and the horizon
-    /// mode selected by `IMPRESS_HORIZON` (default: adaptive).
+    /// shards (clamped to the channel count; `1` executes inline) under the
+    /// adaptive horizon.
     ///
     /// The result is **bit-for-bit identical for every `threads` value and either
     /// horizon mode**: the issue phase replays the serial scheduler exactly, shards
     /// share no state, and the merge phase resolves completions in global issue
     /// order. See [`crate::sharded`] for the argument.
     pub fn run_with_threads(self, threads: usize) -> RunOutput {
-        self.run_with_horizon(threads, HorizonMode::from_env())
+        self.run_with_horizon(threads, HorizonMode::Adaptive)
     }
 
-    /// [`System::run_with_threads`] with an explicit [`HorizonMode`].
+    /// [`System::run_with_threads`] with an explicit [`HorizonMode`]; only the
+    /// reference comparisons ask for [`HorizonMode::Fixed`].
     pub fn run_with_horizon(self, threads: usize, mode: HorizonMode) -> RunOutput {
         let System {
             config,

@@ -21,13 +21,12 @@ use std::io;
 
 use impress_dram::stats::ChannelStats;
 use impress_dram::timing::Cycle;
-use impress_memctrl::{ChannelShard, MemoryController};
 use impress_workloads::codec::{IngestFault, TraceMeta, TraceReader, TraceRecord};
 use impress_workloads::source::{AccessSource, TraceSource, TransportEvent};
 use impress_workloads::MemoryAccess;
 
+use crate::daemon::DaemonOptions;
 use crate::runner::{Configuration, SweepOptions};
-use crate::sharded::{lock_task, make_tasks, QueuedAccess};
 use crate::system::{RunOutput, System};
 
 /// Records executed per epoch-pool round during open-loop ingestion (matches the
@@ -332,17 +331,6 @@ impl FaultLedger {
         }
     }
 
-    /// Absorbs the decoder's fault list (plus its truncation flag) in stream
-    /// order.
-    pub fn absorb_decoder(&mut self, faults: Vec<IngestFault>, truncated_at: Option<u64>) {
-        for f in faults {
-            self.push(LedgerEntry::Decode(f));
-        }
-        if let Some(offset) = truncated_at {
-            self.push(LedgerEntry::TruncatedStream { offset });
-        }
-    }
-
     /// Absorbs transport-layer events drained from a socket source, in
     /// arrival order.
     pub fn absorb_transport(&mut self, events: Vec<TransportEvent>) {
@@ -594,10 +582,6 @@ pub struct TraceRunner {
     system: crate::config::SystemConfig,
     shard_threads: usize,
     window_records: u64,
-    /// Whether ingestion stages tracked events through the bank-batched record
-    /// kernels. `None` defers to the `IMPRESS_RECORD_BATCH` environment
-    /// variable (default on); the output is bit-identical either way.
-    record_batch: Option<bool>,
 }
 
 impl Default for TraceRunner {
@@ -613,7 +597,6 @@ impl TraceRunner {
             system: crate::config::SystemConfig::baseline(),
             shard_threads: 1,
             window_records: 1 << 20,
-            record_batch: None,
         }
     }
 
@@ -636,15 +619,6 @@ impl TraceRunner {
     /// Sets the telemetry window size for [`TraceRunner::ingest`] (in records).
     pub fn with_window_records(mut self, records: u64) -> Self {
         self.window_records = records.max(1);
-        self
-    }
-
-    /// Forces the ingest record path: `true` stages tracked events through the
-    /// bank-batched kernels, `false` records per event. Unset, the
-    /// `IMPRESS_RECORD_BATCH` environment variable decides (default batched).
-    /// Both paths produce byte-identical verdicts and telemetry.
-    pub fn with_record_batching(mut self, on: bool) -> Self {
-        self.record_batch = Some(on);
         self
     }
 
@@ -676,6 +650,12 @@ impl TraceRunner {
     /// [`DEFAULT_GAP`] for gapless traces) and execute on the channel shards in
     /// [`INGEST_BATCH`]-record rounds of the epoch pool.
     ///
+    /// This is the daemon's loop ([`crate::daemon::supervise`]) with
+    /// checkpoints, watchdog and resume off, so a shard-worker panic is
+    /// quarantined here too: the failed round's records become a
+    /// `quarantined-window` ledger entry and the verdict's outcome is
+    /// `"quarantined"`.
+    ///
     /// Deterministic for any `shard_threads`: routing is a pure function of the
     /// stream, and shards share no state.
     ///
@@ -684,147 +664,18 @@ impl TraceRunner {
     /// Propagates codec errors (corrupt frames, truncation) from the reader.
     pub fn ingest<S: TraceSource>(
         &self,
-        mut reader: TraceReader<S>,
+        reader: TraceReader<S>,
         configuration: &Configuration,
     ) -> io::Result<IngestReport> {
-        let controller_config = configuration.controller_config();
-        let controller = MemoryController::new(controller_config);
-        let (cfg, shards) = controller.into_parts();
-        let min_latency = ChannelShard::min_access_latency(&cfg.timings);
-        let tasks = make_tasks(shards, min_latency);
-        let channels = tasks.len();
-        if self
-            .record_batch
-            .unwrap_or_else(impress_core::engine::record_batching_from_env)
-        {
-            for i in 0..channels {
-                lock_task(&tasks, i).shard.set_record_batching(true);
-            }
-        }
-        let decoder = cfg.mapping.decoder(&cfg.organization);
-        let has_gaps = reader.meta().has_gaps;
-        let workload = reader.meta().name.clone();
-        let window_records = self.window_records;
-
-        type IngestLoopOut = (
-            u64,
-            Cycle,
-            Vec<WindowTelemetry>,
-            Vec<IngestFault>,
-            Vec<TransportEvent>,
-            Option<u64>,
-        );
-        let tasks_ref = &tasks;
-        let result: io::Result<IngestLoopOut> = impress_exec::epoch_scope(
-            self.shard_threads,
-            channels,
-            move |i| lock_task(tasks_ref, i).execute(),
-            |scope| {
-                let mut queues: Vec<Vec<QueuedAccess>> =
-                    (0..channels).map(|_| Vec::new()).collect();
-                let mut now: Cycle = 0;
-                let mut records: u64 = 0;
-                let mut batched: usize = 0;
-                let mut windows: Vec<WindowTelemetry> = Vec::new();
-                let mut window_start_records: u64 = 0;
-                let mut prev = ChannelStats::default();
-
-                let flush = |queues: &mut Vec<Vec<QueuedAccess>>, batched: &mut usize| {
-                    if *batched == 0 {
-                        return;
-                    }
-                    for (channel, queue) in queues.iter_mut().enumerate() {
-                        std::mem::swap(&mut lock_task(tasks_ref, channel).queue, queue);
-                    }
-                    scope.run_epoch();
-                    for (channel, queue) in queues.iter_mut().enumerate() {
-                        std::mem::swap(&mut lock_task(tasks_ref, channel).queue, queue);
-                        queue.clear();
-                    }
-                    *batched = 0;
-                };
-
-                while let Some(record) = reader.next_record()? {
-                    now += if has_gaps {
-                        record.gap as Cycle
-                    } else {
-                        DEFAULT_GAP as Cycle
-                    };
-                    let location = decoder.decode(record.to_access().address).map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("record {records}: {e}"))
-                    })?;
-                    queues[location.channel as usize].push(QueuedAccess {
-                        location,
-                        is_write: record.is_write,
-                        at: now,
-                    });
-                    records += 1;
-                    batched += 1;
-                    if batched == INGEST_BATCH {
-                        flush(&mut queues, &mut batched);
-                    }
-                    if records - window_start_records == window_records {
-                        flush(&mut queues, &mut batched);
-                        let snap = ChannelStats::merged(
-                            (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                        );
-                        windows.push(WindowTelemetry::delta(
-                            windows.len() as u64,
-                            records - window_start_records,
-                            now,
-                            &prev,
-                            &snap,
-                        ));
-                        prev = snap;
-                        window_start_records = records;
-                    }
-                }
-                flush(&mut queues, &mut batched);
-                if records > window_start_records {
-                    let snap = ChannelStats::merged(
-                        (0..channels).map(|i| lock_task(tasks_ref, i).shard.stats()),
-                    );
-                    windows.push(WindowTelemetry::delta(
-                        windows.len() as u64,
-                        records - window_start_records,
-                        now,
-                        &prev,
-                        &snap,
-                    ));
-                }
-                let faults = reader.take_faults();
-                let transport = reader.take_transport_events();
-                let truncated_at = reader.truncated().then(|| reader.byte_offset());
-                Ok((records, now, windows, faults, transport, truncated_at))
-            },
-        );
-        let (records, elapsed_cycles, windows, faults, transport, truncated_at) = result?;
-        let mut ledger = FaultLedger::default();
-        ledger.absorb_decoder(faults, truncated_at);
-        ledger.absorb_transport(transport);
-
-        let memory = ChannelStats::merged(
-            tasks
-                .into_iter()
-                .map(|t| t.into_inner().unwrap_or_else(|e| e.into_inner()).shard)
-                .map(|mut shard| {
-                    // End-of-run flush: staged spans are mitigation-free so the
-                    // stats are already final, but the trackers must land in the
-                    // same state a per-record run would leave them in.
-                    shard.flush_staged_records();
-                    shard.stats()
-                }),
-        );
-        let verdict =
-            VerdictReport::from_stats(&workload, configuration, records, elapsed_cycles, &memory)
-                .with_faults(ledger);
-        Ok(IngestReport {
-            records,
-            elapsed_cycles,
-            memory,
-            windows,
-            verdict,
-        })
+        let options = DaemonOptions {
+            window_records: self.window_records,
+            shard_threads: self.shard_threads,
+            checkpoint_every: 0,
+            max_lag_windows: 0,
+            resume_from: None,
+            ..DaemonOptions::default()
+        };
+        crate::daemon::ingest_loop(reader, configuration, &options, &mut |_| Ok(()), |_| {})
     }
 }
 
@@ -926,42 +777,137 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_ingest_verdict_is_byte_identical_to_per_record() {
-        use impress_core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
-        let (meta, records) = record_mix("copy", 11, 600);
-        let mut bytes = Vec::new();
-        let mut w = TraceWriter::new(&mut bytes, &meta).unwrap();
-        for &r in &records {
-            w.push(r).unwrap();
-        }
-        w.finish().unwrap();
-        let protected = Configuration::protected(
-            "Graphene+ImPress-P",
-            ProtectionConfig::paper_default(
-                TrackerChoice::Graphene,
-                DefenseKind::impress_p_default(),
-            ),
-        );
-        let run = |threads: usize, batched: bool| {
-            let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-            TraceRunner::new()
-                .with_shard_threads(threads)
-                .with_window_records(1_000)
-                .with_record_batching(batched)
-                .ingest(reader, &protected)
-                .unwrap()
+    /// A two-row hammer on one bank, interleaved 3:1 with a copy stream, with
+    /// a gap longer than half of tREFW every 8000 records, so the trackers
+    /// mitigate, the RFM cadence fires and staged spans straddle refresh
+    /// windows.
+    fn hammer_trace(records: u64) -> Vec<u8> {
+        let (_, mix) = record_mix("copy", 13, records);
+        let org = impress_dram::DramOrganization::baseline();
+        let mapping = impress_memctrl::ControllerConfig::baseline().mapping;
+        let long_gap = (impress_dram::timing::DramTimings::ddr5().t_refw / 2 + 1) as u32;
+        let meta = TraceMeta {
+            name: "hammer".to_string(),
+            cores: 1,
+            has_gaps: true,
+            instructions_per_miss: vec![50.0],
         };
-        for threads in [1usize, 2, 4] {
-            let per = run(threads, false);
-            let bat = run(threads, true);
-            assert_eq!(
-                bat.verdict.to_json(),
-                per.verdict.to_json(),
-                "threads = {threads}"
+        let mut w = TraceWriter::new(Vec::new(), &meta).unwrap();
+        for i in 0..records {
+            let address = if i % 4 != 3 {
+                let aggressor = impress_dram::address::DramAddress {
+                    channel: 0,
+                    rank: 0,
+                    bank_group: 0,
+                    bank: 0,
+                    row: 1000 + 2 * (i % 2) as u32,
+                    column: 0,
+                };
+                mapping.encode(aggressor, &org).unwrap().0
+            } else {
+                mix[i as usize].address
+            };
+            let gap = if i % 8000 == 7999 { long_gap } else { 4 };
+            w.push(TraceRecord {
+                address,
+                gap,
+                core: 0,
+                is_write: i % 7 == 0,
+            })
+            .unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    /// The loop's reference: every record decoded with the reference
+    /// `AddressMapping::decode` and executed by `ChannelShard::access` in
+    /// stream order, one record at a time, on shards left at the per-record
+    /// tracker path.
+    fn serial_ingest(
+        bytes: &[u8],
+        configuration: &Configuration,
+        window_records: u64,
+    ) -> IngestReport {
+        use impress_memctrl::{ChannelShard, MemoryController};
+        let mut reader = TraceReader::new(SliceSource::new(bytes)).unwrap();
+        let (cfg, mut shards) =
+            MemoryController::new(configuration.controller_config()).into_parts();
+        let merged =
+            |shards: &[ChannelShard]| ChannelStats::merged(shards.iter().map(ChannelShard::stats));
+        let (mut now, mut records, mut window_start) = (0, 0, 0);
+        let mut prev = ChannelStats::default();
+        let mut windows = Vec::new();
+        let mut close = |shards: &[ChannelShard], records: u64, start: u64, now: Cycle| {
+            let snap = merged(shards);
+            let index = windows.len() as u64;
+            windows.push(WindowTelemetry::delta(
+                index,
+                records - start,
+                now,
+                &prev,
+                &snap,
+            ));
+            prev = snap;
+        };
+        while let Some(record) = reader.next_record().unwrap() {
+            now += if reader.meta().has_gaps {
+                record.gap as Cycle
+            } else {
+                DEFAULT_GAP as Cycle
+            };
+            let location = cfg
+                .mapping
+                .decode(record.to_access().address, &cfg.organization)
+                .unwrap();
+            shards[location.channel as usize].access(location, record.is_write, now);
+            records += 1;
+            if records - window_start == window_records {
+                close(&shards, records, window_start, now);
+                window_start = records;
+            }
+        }
+        if records > window_start {
+            close(&shards, records, window_start, now);
+        }
+        let memory = merged(&shards);
+        let verdict =
+            VerdictReport::from_stats(&reader.meta().name, configuration, records, now, &memory);
+        IngestReport {
+            records,
+            elapsed_cycles: now,
+            memory,
+            windows,
+            verdict,
+        }
+    }
+
+    #[test]
+    fn ingest_matches_a_serial_per_record_reference() {
+        use impress_core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
+        let bytes = hammer_trace(24_000);
+        for (label, tracker) in [
+            ("Graphene+ImPress-P", TrackerChoice::Graphene),
+            ("PARA+ImPress-P", TrackerChoice::Para),
+            ("Mithril+ImPress-P", TrackerChoice::Mithril),
+        ] {
+            let configuration = Configuration::protected(
+                label,
+                ProtectionConfig::paper_default(tracker, DefenseKind::impress_p_default()),
             );
-            assert_eq!(bat.windows, per.windows, "threads = {threads}");
-            assert_eq!(bat.memory, per.memory, "threads = {threads}");
+            let reference = serial_ingest(&bytes, &configuration, 1_000);
+            assert_eq!(reference.verdict.verdict, "mitigated", "{label}");
+            for threads in [1usize, 2, 4] {
+                let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+                let out = TraceRunner::new()
+                    .with_shard_threads(threads)
+                    .with_window_records(1_000)
+                    .ingest(reader, &configuration)
+                    .unwrap();
+                let at = format!("{label} at {threads} shard threads");
+                assert_eq!(out.memory, reference.memory, "{at}");
+                assert_eq!(out.windows, reference.windows, "{at}");
+                assert_eq!(out.verdict.to_json(), reference.verdict.to_json(), "{at}");
+            }
         }
     }
 

@@ -104,7 +104,7 @@ fn resume_after_randomized_kill_points_reproduces_the_verdict() {
     let mut resumed_runs = 0;
     for round in 0..8 {
         // Kill anywhere in the back three quarters of the stream; the first
-        // durable checkpoint lands at 28 192 records (~450 KiB in).
+        // durable checkpoint lands at 20 000 records (~320 kB in).
         let kill_at = rng.gen_range(bytes.len() / 4..bytes.len());
 
         let mut checkpoints: Vec<Checkpoint> = Vec::new();

@@ -119,15 +119,15 @@ pub struct Graphene {
 
 impl Graphene {
     /// Creates a Graphene tracker sized for `threshold` (no fractional bits),
-    /// using the [`EvictionEngine::from_env`] default engine.
+    /// using the default [`EvictionEngine::Summary`] engine.
     pub fn for_threshold(threshold: u64) -> Self {
         Self::new(GrapheneConfig::for_threshold(threshold))
     }
 
     /// Creates a Graphene tracker from an explicit configuration, using the
-    /// [`EvictionEngine::from_env`] default engine.
+    /// default [`EvictionEngine::Summary`] engine.
     pub fn new(config: GrapheneConfig) -> Self {
-        Self::with_engine(config, EvictionEngine::from_env())
+        Self::with_engine(config, EvictionEngine::default())
     }
 
     /// Creates a Graphene tracker with an explicit eviction engine (A/B testing

@@ -110,15 +110,15 @@ pub struct Mithril {
 
 impl Mithril {
     /// Creates a Mithril tracker sized for `threshold` at RFMTH = 80, using the
-    /// [`EvictionEngine::from_env`] default engine.
+    /// default [`EvictionEngine::Summary`] engine.
     pub fn for_threshold(threshold: u64) -> Self {
         Self::new(MithrilConfig::for_threshold(threshold))
     }
 
     /// Creates a Mithril tracker from an explicit configuration, using the
-    /// [`EvictionEngine::from_env`] default engine.
+    /// default [`EvictionEngine::Summary`] engine.
     pub fn new(config: MithrilConfig) -> Self {
-        Self::with_engine(config, EvictionEngine::from_env())
+        Self::with_engine(config, EvictionEngine::default())
     }
 
     /// Creates a Mithril tracker with an explicit eviction engine (A/B testing

@@ -54,9 +54,8 @@ const NIL: u32 = u32::MAX;
 ///   choice is unambiguous, same Misra-Gries error bound always) and O(1) on the
 ///   miss path.
 ///
-/// The process-wide default is read from the `IMPRESS_EVICTION` environment
-/// variable (`scan` or `summary`, case-insensitive; unset or unrecognized values
-/// select `Summary`).
+/// `Summary` is the default; `Scan` is reachable only by pinning it
+/// explicitly ([`crate::Graphene::with_engine`], [`crate::Mithril::with_engine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvictionEngine {
     /// Linear-scan eviction (the seed algorithm, bit-identical).
@@ -66,21 +65,7 @@ pub enum EvictionEngine {
     Summary,
 }
 
-/// Environment variable selecting the default [`EvictionEngine`].
-pub const EVICTION_ENV: &str = "IMPRESS_EVICTION";
-
 impl EvictionEngine {
-    /// The engine selected by the `IMPRESS_EVICTION` environment variable
-    /// (`scan`/`summary`, case-insensitive). Unset or unrecognized values select
-    /// [`EvictionEngine::Summary`], mirroring how `IMPRESS_THREADS` treats
-    /// unparsable input.
-    pub fn from_env() -> Self {
-        match std::env::var(EVICTION_ENV) {
-            Ok(v) if v.trim().eq_ignore_ascii_case("scan") => EvictionEngine::Scan,
-            _ => EvictionEngine::Summary,
-        }
-    }
-
     /// Short name used in reports (`"scan"` / `"summary"`).
     pub fn label(self) -> &'static str {
         match self {
@@ -618,15 +603,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_default_is_summary() {
-        // Unset (the usual test environment) or unrecognized values select the
-        // summary engine; only an explicit "scan" opts out (CI runs suites
-        // under both values, so read the variable rather than assuming unset).
-        let expected = match std::env::var(EVICTION_ENV) {
-            Ok(v) if v.trim().eq_ignore_ascii_case("scan") => EvictionEngine::Scan,
-            _ => EvictionEngine::Summary,
-        };
-        assert_eq!(EvictionEngine::from_env(), expected);
+    fn default_is_summary() {
         assert_eq!(EvictionEngine::default(), EvictionEngine::Summary);
         assert_eq!(EvictionEngine::Summary.label(), "summary");
         assert_eq!(EvictionEngine::Scan.to_string(), "scan");

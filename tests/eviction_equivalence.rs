@@ -4,8 +4,8 @@
 //! unambiguous, Misra-Gries no-undercount bound always) is property-tested in
 //! `impress-trackers`. This suite closes the loop end-to-end: replay adversarial
 //! churn and randomized streams through the full defense stack
-//! ([`SecurityHarness`] with the CLM as ground truth) under both
-//! `IMPRESS_EVICTION` engines and require that the **maximum unmitigated
+//! ([`SecurityHarness`] with the CLM as ground truth) under both eviction
+//! engines, each pinned explicitly, and require that the **maximum unmitigated
 //! disturbance under the summary engine never exceeds the seed (scan)
 //! engine's** — i.e. relaxing bit-identical victim selection to observational
 //! equivalence gives up nothing measurable on the streams that maximize
@@ -196,21 +196,13 @@ fn single_aggressor_streams_are_bitwise_identical_across_engines() {
 }
 
 #[test]
-fn env_default_and_pinning_are_wired() {
-    // The process-wide default follows IMPRESS_EVICTION (summary unless the
-    // variable selects scan — CI runs this suite under both values), and
-    // pinning a configuration overrides the environment in both directions.
-    let expected = match std::env::var("IMPRESS_EVICTION") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("scan") => EvictionEngine::Scan,
-        _ => EvictionEngine::Summary,
-    };
-    assert_eq!(EvictionEngine::from_env(), expected);
+fn default_and_pinning_are_wired() {
+    // Configurations default to the summary engine, and pinning overrides the
+    // default in both directions.
+    assert_eq!(EvictionEngine::default(), EvictionEngine::Summary);
     let cfg = ProtectionConfig::paper_default(TrackerChoice::Graphene, DefenseKind::NoRp);
-    assert_eq!(cfg.eviction_engine(), expected);
+    assert_eq!(cfg.eviction, EvictionEngine::Summary);
     for pinned in [EvictionEngine::Scan, EvictionEngine::Summary] {
-        assert_eq!(
-            cfg.clone().with_eviction_engine(pinned).eviction_engine(),
-            pinned
-        );
+        assert_eq!(cfg.clone().with_eviction_engine(pinned).eviction, pinned);
     }
 }

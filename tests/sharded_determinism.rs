@@ -16,9 +16,10 @@
 //!    schedule, so `run_with_horizon` output is identical across both modes and
 //!    every thread count — pinned both on named configurations and on a seeded
 //!    randomized sweep over workload mixes × channel counts × protection ×
-//!    thread counts.
+//!    thread counts, whose odd cases pin the linear-scan eviction engine.
 
 use impress_repro::core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
+use impress_repro::core::EvictionEngine;
 use impress_repro::dram::energy::EnergyModel;
 use impress_repro::dram::organization::DramOrganization;
 use impress_repro::dram::stats::ChannelStats;
@@ -205,14 +206,21 @@ fn random_mixes_agree_across_serial_fixed_and_adaptive_horizons() {
             },
             ..ControllerConfig::baseline()
         };
+        // Odd cases pin the seed's linear-scan eviction engine, so the loop's
+        // bit-identity is checked under both engines without extra draws.
+        let engine = if case % 2 == 1 {
+            EvictionEngine::Scan
+        } else {
+            EvictionEngine::Summary
+        };
         if let Some(tracker) = tracker {
-            controller = controller.with_protection(ProtectionConfig::paper_default(
-                tracker,
-                DefenseKind::impress_p_default(),
-            ));
+            controller = controller.with_protection(
+                ProtectionConfig::paper_default(tracker, DefenseKind::impress_p_default())
+                    .with_eviction_engine(engine),
+            );
         }
         let label = format!(
-            "case {case}: {workload} x{channels}ch tracker={tracker:?} \
+            "case {case}: {workload} x{channels}ch tracker={tracker:?} engine={engine} \
              requests={requests} seed={seed}"
         );
 
