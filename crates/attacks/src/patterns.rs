@@ -280,10 +280,10 @@ impl AttackPattern for RotatingAggressorPattern {
 /// The aggressors pin high-count table entries near the mitigation threshold;
 /// the churn rows force a steady stream of insert/evict decisions at the bottom
 /// of the count order, with frequent ties. This maximizes evictions *while*
-/// counts straddle the threshold — the adversarial shape for an eviction engine,
+/// counts straddle the threshold — the adversarial shape for victim selection,
 /// since a wrong victim choice (e.g. displacing a near-threshold aggressor) is
-/// immediately visible as extra unmitigated disturbance in the security harness
-/// A/B gate.
+/// immediately visible as extra unmitigated disturbance in the security
+/// harness's comparison with the seed tracker.
 #[derive(Debug, Clone, Copy)]
 pub struct ThresholdStraddlingPattern {
     /// First aggressor row.

@@ -1,16 +1,15 @@
 //! Criterion micro-benchmarks: per-activation cost of each Rowhammer tracker, plus
 //! before/after comparisons for the PR 2 hot-path rewrites (flat-table PRAC vs the
 //! seed's `HashMap`, single-pass Graphene/Mithril vs the seed's multi-scan updates)
-//! and the PR 5 eviction engines (`eviction_churn/*`: linear-scan vs stream-summary
-//! victim selection on miss-heavy churn).
+//! and the stream-summary victim selection on miss-heavy churn
+//! (`eviction_churn/*`).
 
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use impress_trackers::eact::EactCounter;
 use impress_trackers::graphene::GrapheneConfig;
-use impress_trackers::mithril::MithrilConfig;
-use impress_trackers::{Eact, EvictionEngine, Graphene, Mint, Mithril, Para, Prac, RowTracker};
+use impress_trackers::{Eact, Graphene, Mint, Mithril, Para, Prac, RowTracker};
 use std::hint::black_box;
 
 fn bench_trackers(c: &mut Criterion) {
@@ -173,51 +172,28 @@ fn bench_graphene_scan(c: &mut Criterion) {
     group.finish();
 }
 
-/// Before/after pairs for the PR 5 eviction engines on the miss-heavy churn
-/// stream (4K distinct rows, larger than any table, so after warm-up nearly
-/// every record runs the eviction path): the seed's linear scan vs the O(1)
-/// bucketed stream-summary, for both counter trackers.
+/// Graphene and Mithril on the miss-heavy churn stream (4K distinct rows,
+/// larger than either table, so after warm-up nearly every record runs the
+/// O(1) stream-summary eviction path). The seed's linear scan on the same
+/// stream is timed as `graphene_scan/three_scan_seed`.
 fn bench_eviction_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("eviction_churn");
     let eact = Eact::ONE;
 
-    let mut graphene_scan =
-        Graphene::with_engine(GrapheneConfig::for_threshold(4_000), EvictionEngine::Scan);
-    group.bench_function("graphene_churn_scan", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(graphene_scan.record((i % 4096) as u32, eact, i * 128))
-        });
-    });
-    let mut graphene_summary = Graphene::with_engine(
-        GrapheneConfig::for_threshold(4_000),
-        EvictionEngine::Summary,
-    );
+    let mut graphene = Graphene::for_threshold(4_000);
     group.bench_function("graphene_churn_summary", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(graphene_summary.record((i % 4096) as u32, eact, i * 128))
+            black_box(graphene.record((i % 4096) as u32, eact, i * 128))
         });
     });
-
-    let mut mithril_scan =
-        Mithril::with_engine(MithrilConfig::for_threshold(4_000), EvictionEngine::Scan);
-    group.bench_function("mithril_churn_scan", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(mithril_scan.record((i % 4096) as u32, eact, i * 128))
-        });
-    });
-    let mut mithril_summary =
-        Mithril::with_engine(MithrilConfig::for_threshold(4_000), EvictionEngine::Summary);
+    let mut mithril = Mithril::for_threshold(4_000);
     group.bench_function("mithril_churn_summary", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(mithril_summary.record((i % 4096) as u32, eact, i * 128))
+            black_box(mithril.record((i % 4096) as u32, eact, i * 128))
         });
     });
     group.finish();

@@ -6,7 +6,7 @@ use impress_dram::timing::{Cycle, DramTimings};
 use impress_trackers::eact::CANONICAL_FRAC_BITS;
 use impress_trackers::graphene::GrapheneConfig;
 use impress_trackers::mithril::MithrilConfig;
-use impress_trackers::{analysis, EvictionEngine, Graphene, Mint, Mithril, Para, Prac, RowTracker};
+use impress_trackers::{analysis, Graphene, Mint, Mithril, Para, Prac, RowTracker};
 
 use crate::clm::Alpha;
 use crate::defense::{NoRowPressDefense, RowPressDefense};
@@ -172,10 +172,6 @@ pub struct ProtectionConfig {
     pub seed: u64,
     /// Rows per bank (used to clip victim refreshes at the array edge).
     pub rows_per_bank: u32,
-    /// Eviction engine for the counter-table trackers (Graphene, Mithril):
-    /// [`EvictionEngine::Summary`] unless pinned otherwise (the A/B harnesses
-    /// and equivalence gates pin [`EvictionEngine::Scan`] as their reference).
-    pub eviction: EvictionEngine,
 }
 
 impl ProtectionConfig {
@@ -189,14 +185,7 @@ impl ProtectionConfig {
             rfm_threshold: 80,
             seed: 0xD2A4_0001,
             rows_per_bank: 1 << 16,
-            eviction: EvictionEngine::default(),
         }
-    }
-
-    /// This configuration with the counter-tracker eviction engine pinned.
-    pub fn with_eviction_engine(mut self, engine: EvictionEngine) -> Self {
-        self.eviction = engine;
-        self
     }
 
     /// The threshold the tracker must actually be configured for after applying the
@@ -226,7 +215,7 @@ impl ProtectionConfig {
             TrackerChoice::Graphene => {
                 let mut cfg = GrapheneConfig::for_threshold(threshold);
                 cfg.frac_bits = frac_bits;
-                Box::new(Graphene::with_engine(cfg, self.eviction))
+                Box::new(Graphene::new(cfg))
             }
             TrackerChoice::Para => {
                 let p = analysis::para_probability(threshold);
@@ -235,7 +224,7 @@ impl ProtectionConfig {
             TrackerChoice::Mithril => {
                 let cfg = MithrilConfig::with_rfm_threshold(threshold, self.rfm_threshold)
                     .with_frac_bits(frac_bits);
-                Box::new(Mithril::with_engine(cfg, self.eviction))
+                Box::new(Mithril::new(cfg))
             }
             TrackerChoice::Mint => Box::new(Mint::new(
                 self.effective_rfm_threshold(timings),
@@ -363,30 +352,6 @@ mod tests {
             DefenseKind::impress_p_default().to_string(),
             "ImPress-P(7 frac bits)"
         );
-    }
-
-    #[test]
-    fn eviction_engine_knob_pins_counter_trackers() {
-        use impress_trackers::EvictionEngine;
-        let base = ProtectionConfig::paper_default(
-            TrackerChoice::Graphene,
-            DefenseKind::impress_p_default(),
-        );
-        // Unpinned is the summary engine.
-        assert_eq!(base.eviction, EvictionEngine::Summary);
-        let pinned = base.clone().with_eviction_engine(EvictionEngine::Scan);
-        assert_eq!(pinned.eviction, EvictionEngine::Scan);
-        // Pinning shows up in the built trackers.
-        let t = DramTimings::ddr5();
-        for choice in [TrackerChoice::Graphene, TrackerChoice::Mithril] {
-            for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-                let cfg = ProtectionConfig::paper_default(choice, DefenseKind::impress_p_default())
-                    .with_eviction_engine(engine);
-                // Smoke: construction succeeds and the tracker works.
-                let mut tracker = cfg.build_tracker(&t);
-                assert!(tracker.record(1, impress_trackers::Eact::ONE, 0).is_none());
-            }
-        }
     }
 
     #[test]

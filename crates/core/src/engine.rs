@@ -373,7 +373,6 @@ mod tests {
     use crate::clm::Alpha;
     use crate::config::{DefenseKind, TrackerChoice};
     use crate::impress_n::ImpressN;
-    use impress_trackers::EvictionEngine;
 
     fn timings() -> DramTimings {
         DramTimings::ddr5()
@@ -500,31 +499,25 @@ mod tests {
         use impress_trackers::mithril::MithrilConfig;
         use impress_trackers::{Graphene, Mint, Mithril, Para, Prac};
 
-        fn graphene(engine: EvictionEngine) -> Box<dyn RowTracker> {
-            let config = GrapheneConfig {
-                threshold: 200,
-                internal_threshold: 40,
-                entries: 16,
-                frac_bits: 0,
-            };
-            Box::new(Graphene::with_engine(config, engine))
-        }
-        fn mithril(engine: EvictionEngine) -> Box<dyn RowTracker> {
-            let config = MithrilConfig {
-                threshold: 200,
-                rfm_threshold: 16,
-                entries: 16,
-                frac_bits: 0,
-            };
-            Box::new(Mithril::with_engine(config, engine))
-        }
         type Build = fn() -> Box<dyn RowTracker>;
-        let trackers: [(&str, Build); 7] = [
-            ("graphene/summary", || graphene(EvictionEngine::Summary)),
-            ("graphene/scan", || graphene(EvictionEngine::Scan)),
+        let trackers: [(&str, Build); 5] = [
+            ("graphene", || {
+                Box::new(Graphene::new(GrapheneConfig {
+                    threshold: 200,
+                    internal_threshold: 40,
+                    entries: 16,
+                    frac_bits: 0,
+                }))
+            }),
             ("para", || Box::new(Para::with_probability(200, 0.01, 7))),
-            ("mithril/summary", || mithril(EvictionEngine::Summary)),
-            ("mithril/scan", || mithril(EvictionEngine::Scan)),
+            ("mithril", || {
+                Box::new(Mithril::new(MithrilConfig {
+                    threshold: 200,
+                    rfm_threshold: 16,
+                    entries: 16,
+                    frac_bits: 0,
+                }))
+            }),
             ("mint", || Box::new(Mint::new(16, 0, 7))),
             ("prac", || Box::new(Prac::for_threshold(200, 0, 1 << 16))),
         ];

@@ -63,5 +63,4 @@ pub use engine::{BankMitigationEngine, EngineStats};
 pub use express::Express;
 pub use impress_n::ImpressN;
 pub use impress_p::ImpressP;
-pub use impress_trackers::EvictionEngine;
 pub use security::{AggressorAccess, SecurityHarness, SecurityReport};

@@ -21,7 +21,7 @@ use impress_dram::bank::ClosedRow;
 use impress_dram::rfm::RfmCounter;
 use impress_dram::timing::{Cycle, DramTimings};
 use impress_trackers::tracker::neighbours;
-use impress_trackers::MitigationRequest;
+use impress_trackers::{MitigationRequest, RowTracker};
 
 use crate::clm::ChargeLossModel;
 use crate::config::ProtectionConfig;
@@ -174,8 +174,34 @@ impl SecurityHarness {
     /// Creates a harness for the given protection configuration, using the CLM with
     /// `alpha` as the ground-truth damage model (the paper's security arguments use
     /// α = 1 as the worst case; measured devices are closer to 0.35–0.48).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see [`ProtectionConfig::validate`]).
     pub fn new(config: &ProtectionConfig, alpha: f64, timings: &DramTimings) -> Self {
-        let engine = BankMitigationEngine::new(config, timings);
+        Self::with_tracker(config, config.build_tracker(timings), alpha, timings)
+    }
+
+    /// [`SecurityHarness::new`] with `tracker` in place of the one `config`
+    /// builds: the same defense, RFM cadence, threshold and victim rows. The
+    /// equivalence suites replay attacks through a transcription of the seed
+    /// tracker this way and compare its disturbance with the shipping
+    /// tracker's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see [`ProtectionConfig::validate`]).
+    pub fn with_tracker(
+        config: &ProtectionConfig,
+        tracker: Box<dyn RowTracker>,
+        alpha: f64,
+        timings: &DramTimings,
+    ) -> Self {
+        if let Err(msg) = config.validate() {
+            panic!("invalid protection configuration: {msg}");
+        }
+        let engine =
+            BankMitigationEngine::from_parts(config.build_defense(timings), tracker, timings);
         let rfm_enabled = config.tracker.is_in_dram();
         Self {
             engine,
@@ -191,27 +217,6 @@ impl SecurityHarness {
             next_refresh: timings.t_refi,
             rfm_enabled,
         }
-    }
-
-    /// Builds two harnesses identical except for the counter-tracker eviction
-    /// engine: `(scan, summary)`. The A/B security gate replays the same attack
-    /// pattern through both and requires the summary engine's maximum
-    /// unmitigated disturbance to stay at or below the seed (scan) engine's —
-    /// the empirical half of the observational-equivalence contract (the
-    /// analytical half, the Misra-Gries no-undercount bound, is property-tested
-    /// in `impress-trackers`).
-    pub fn eviction_engine_pair(
-        config: &ProtectionConfig,
-        alpha: f64,
-        timings: &DramTimings,
-    ) -> (SecurityHarness, SecurityHarness) {
-        use impress_trackers::EvictionEngine;
-        let scan = config.clone().with_eviction_engine(EvictionEngine::Scan);
-        let summary = config.clone().with_eviction_engine(EvictionEngine::Summary);
-        (
-            SecurityHarness::new(&scan, alpha, timings),
-            SecurityHarness::new(&summary, alpha, timings),
-        )
     }
 
     /// Current simulated time.
@@ -531,18 +536,18 @@ mod tests {
     }
 
     #[test]
-    fn eviction_engine_pair_is_scan_vs_summary() {
+    fn with_tracker_replays_like_new_with_the_built_tracker() {
         let cfg = ProtectionConfig::paper_default(
             TrackerChoice::Graphene,
             DefenseKind::impress_p_default(),
         );
-        let (mut scan, mut summary) = SecurityHarness::eviction_engine_pair(&cfg, 1.0, &timings());
-        // On an eviction-free single-aggressor stream the engines are in exact
-        // lockstep, so the reports agree bit for bit.
+        let t = timings();
+        let mut built = SecurityHarness::new(&cfg, 1.0, &t);
+        let mut given = SecurityHarness::with_tracker(&cfg, cfg.build_tracker(&t), 1.0, &t);
         let pattern: Vec<AggressorAccess> =
             (0..5_000).map(|_| AggressorAccess::hammer(500)).collect();
-        let a = scan.run(pattern.iter().copied(), u64::MAX);
-        let b = summary.run(pattern.iter().copied(), u64::MAX);
+        let a = built.run(pattern.iter().copied(), u64::MAX);
+        let b = given.run(pattern.iter().copied(), u64::MAX);
         assert_eq!(a, b);
         assert!(a.mitigations > 0);
     }

@@ -176,21 +176,6 @@ impl CoreModel {
         }
     }
 
-    /// The earliest cycle this core can issue its next miss, **if** that cycle is
-    /// provably exact and below `horizon`; `None` means the next issue is at or
-    /// beyond `horizon`, or depends on completions that are not yet known.
-    ///
-    /// This is [`CoreModel::next_issue_bound`] restricted to a fixed window —
-    /// retained for the fixed-horizon loop and its tests. Under the fixed-window
-    /// contract (every pending completion lower bound at or beyond `horizon`) the
-    /// two agree exactly.
-    pub fn next_issue_before(&self, horizon: Cycle) -> Option<Cycle> {
-        match self.next_issue_bound() {
-            IssueBound::Exact(t) if t < horizon => Some(t),
-            _ => None,
-        }
-    }
-
     /// Records that a miss was issued at `now` whose completion time is not yet
     /// known but is guaranteed to be at least `completion_lb`.
     ///
@@ -300,7 +285,8 @@ mod tests {
 
     #[test]
     fn epoch_phased_issue_matches_serial_issue() {
-        // One core driven by the serial API and one by the fixed-window epoch API
+        // One core driven by the serial API and one by the epoch API in fixed
+        // windows (each capped at the minimum latency past its first issue)
         // against the same deterministic memory must issue at identical cycles and
         // agree on every observable at every epoch barrier.
         let min_lat = 46;
@@ -321,8 +307,9 @@ mod tests {
                 let horizon = epoch.next_issue_time() + min_lat;
                 let mut batch = Vec::new();
                 while i < total {
-                    let Some(t) = epoch.next_issue_before(horizon) else {
-                        break;
+                    let t = match epoch.next_issue_bound() {
+                        IssueBound::Exact(t) if t < horizon => t,
+                        _ => break,
                     };
                     epoch.on_issue_pending(t, t + min_lat);
                     batch.push((t, i));
@@ -349,19 +336,18 @@ mod tests {
     }
 
     #[test]
-    fn next_issue_before_defers_when_completion_unknown() {
+    fn next_issue_bound_defers_when_completion_unknown() {
         let mut core = CoreModel::new(0, 1.0, 2);
         core.on_issue_pending(0, 46);
         core.on_issue_pending(1, 47);
-        // Window full, both completions unknown: the next issue cannot be computed
-        // inside any horizon.
-        assert_eq!(core.next_issue_before(1_000_000), None);
+        // Window full, both completions unknown: the next issue is not exact,
+        // only bounded by the earliest pending completion.
+        assert_eq!(core.next_issue_bound(), IssueBound::NotBefore(46));
         core.resolve_pending(100);
         core.resolve_pending(200);
         // Resolved: oldest completion is 100, front end is ready at 2.
         assert_eq!(core.next_issue_time(), 100);
-        assert_eq!(core.next_issue_before(101), Some(100));
-        assert_eq!(core.next_issue_before(100), None);
+        assert_eq!(core.next_issue_bound(), IssueBound::Exact(100));
     }
 
     // ---- Pending-lower-bound contract ----------------------------------------

@@ -362,6 +362,25 @@ pub(crate) fn ingest_loop<S: TraceSource>(
                 if batched == INGEST_BATCH || window_full {
                     flush(&mut queues, &mut batched, &mut ledger, windows_emitted);
                     drain_reader(&mut reader, &mut ledger);
+                    // A window ending here closes before any checkpoint, so
+                    // the checkpoint counts it among the windows emitted.
+                    if window_full {
+                        windows.push_back(close_window(
+                            &mut prev,
+                            windows_emitted,
+                            records - window_start_records,
+                            now,
+                        ));
+                        windows_emitted += 1;
+                        window_start_records = records;
+                        // Watchdog: shed oldest telemetry before ever shedding
+                        // a record.
+                        if options.max_lag_windows > 0 && windows.len() > options.max_lag_windows {
+                            if let Some(shed) = windows.pop_front() {
+                                ledger.push(LedgerEntry::ShedWindow { window: shed.index });
+                            }
+                        }
+                    }
                     if options.checkpoint_every > 0
                         && records - last_checkpoint >= options.checkpoint_every
                     {
@@ -373,23 +392,6 @@ pub(crate) fn ingest_loop<S: TraceSource>(
                             elapsed_cycles: now,
                         })?;
                         last_checkpoint = records;
-                    }
-                }
-                if window_full {
-                    windows.push_back(close_window(
-                        &mut prev,
-                        windows_emitted,
-                        records - window_start_records,
-                        now,
-                    ));
-                    windows_emitted += 1;
-                    window_start_records = records;
-                    // Watchdog: shed oldest telemetry before ever shedding a
-                    // record.
-                    if options.max_lag_windows > 0 && windows.len() > options.max_lag_windows {
-                        if let Some(shed) = windows.pop_front() {
-                            ledger.push(LedgerEntry::ShedWindow { window: shed.index });
-                        }
                     }
                 }
             }
@@ -668,6 +670,22 @@ mod tests {
         assert_eq!(
             checkpoints.iter().map(|c| c.records).collect::<Vec<_>>(),
             vec![16_384, 32_768, 49_152, 65_536, 81_920, 98_304, 100_000]
+        );
+        // Each periodic checkpoint lands where a window ends, and counts it.
+        assert_eq!(
+            checkpoints
+                .iter()
+                .map(|c| (c.records, c.windows))
+                .collect::<Vec<_>>(),
+            vec![
+                (16_384, 4),
+                (32_768, 8),
+                (49_152, 12),
+                (65_536, 16),
+                (81_920, 20),
+                (98_304, 24),
+                (100_000, 25)
+            ]
         );
         let full_json = full.verdict.to_json_extended();
         for cp in checkpoints {

@@ -38,7 +38,7 @@ pub use daemon::{supervise, write_checkpoint_durable, Checkpoint, DaemonOptions}
 pub use llc::{Llc, LlcConfig, LlcOutcome};
 pub use metrics::{geometric_mean, PerformanceResult};
 pub use runner::{Configuration, ExperimentRunner, NormalizedResult, SweepOptions, SweepResults};
-pub use sharded::{EpochStats, HorizonMode};
+pub use sharded::EpochStats;
 pub use system::{RunOutput, System};
 pub use tenants::{serve_tenants, MultiReport, TenantReport};
 pub use trace_runner::{

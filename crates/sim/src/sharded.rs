@@ -20,30 +20,22 @@
 //!    completion is resolved, which re-establishes the issue-phase invariant for the
 //!    next epoch.
 //!
-//! How long an epoch's issue window runs is governed by a [`HorizonMode`]:
+//! An epoch's issue window is bounded by the *dependency structure* of the
+//! cores: they keep issuing while their next issue time is provably independent
+//! of every unresolved completion. Front-end-limited cores extend the window
+//! freely; a core whose MLP window fills up with pending issues contributes a
+//! horizon bound at `max(front_end, oldest_pending_issue + L)` — the earliest
+//! cycle any of its pending completions can land, backed by the per-access
+//! latency lower bound [`ChannelShard::min_access_latency`] asserts. Issuing
+//! stops once every ready core's next exact issue time reaches the minimum of
+//! those bounds. Streams and high-MLP mixes batch tens of issues per barrier.
 //!
-//! * [`HorizonMode::Fixed`] caps the window at the guaranteed minimum access
-//!   latency ([`ChannelShard::min_access_latency`], `tCAS + tBURST`) past the
-//!   epoch's first issue — the PR 3 loop. No access issued inside such a window
-//!   can complete inside it, so every issue decision is trivially exact; but a run
-//!   degenerates into thousands of tiny fork-join rounds whose barrier cost eats
-//!   the shard parallelism.
-//! * [`HorizonMode::Adaptive`] (the default) bounds the window by the *dependency
-//!   structure* instead: cores keep issuing while their next issue time is provably
-//!   independent of every unresolved completion. Front-end-limited cores extend
-//!   the window freely; a core whose MLP window fills up with pending issues
-//!   contributes a horizon bound at `max(front_end, oldest_pending_issue + L)` —
-//!   the earliest cycle any of its pending completions can land, backed by the
-//!   per-access latency lower bound [`ChannelShard::min_access_latency`] asserts.
-//!   Issuing stops once every ready core's next exact issue time reaches the
-//!   minimum of those bounds. Streams and high-MLP mixes batch tens to hundreds
-//!   of issues per barrier instead of a handful.
-//!
-//! Both modes replay the serial scheduler's issue order and completion-visibility
-//! decisions exactly, so the whole loop is bit-for-bit identical to the pre-shard
-//! serial `System::run` at any `IMPRESS_THREADS` — `tests/sharded_determinism.rs`
-//! pins both modes against a literal transcription of that loop, and
-//! `crates/sim/src/core_model.rs` pins the per-core exactness argument.
+//! The loop replays the serial scheduler's issue order and
+//! completion-visibility decisions exactly, so it is bit-for-bit identical to
+//! the pre-shard serial `System::run` at any `IMPRESS_THREADS` —
+//! `tests/sharded_determinism.rs` pins it against a literal transcription of
+//! that loop, and `crates/sim/src/core_model.rs` pins the per-core exactness
+//! argument.
 
 use std::sync::Mutex;
 
@@ -51,31 +43,10 @@ use impress_dram::address::DramAddress;
 use impress_dram::timing::Cycle;
 use impress_memctrl::ChannelShard;
 
-/// How the epoch-phased run loop sizes its issue windows.
-///
-/// Both modes produce bit-for-bit identical simulation output (the issue schedule
-/// is the serial scheduler's either way); they differ only in how many issues are
-/// batched between barriers, i.e. in wall-clock cost. [`HorizonMode::Adaptive`] is
-/// what [`crate::System::run_with_threads`] runs; `Fixed` is reachable only
-/// through [`crate::System::run_with_horizon`], as the reference point
-/// `perf_report` and the determinism suite compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HorizonMode {
-    /// Issue window capped at the guaranteed minimum access latency past the
-    /// epoch's first issue (the PR 3 loop).
-    Fixed,
-    /// Dependency-bounded window: issue until every eligible core's next issue
-    /// time depends on an unresolved completion.
-    #[default]
-    Adaptive,
-}
-
 /// Issue-batching statistics of one epoch-phased run.
 ///
 /// These describe the *scheduling* of the run (how much work each fork-join round
-/// amortized), not its simulated outcome: fixed- and adaptive-horizon runs of the
-/// same system produce identical [`crate::RunOutput`] simulation results but very
-/// different `EpochStats`.
+/// amortized), not its simulated outcome, which is the same at any thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochStats {
     /// Fork-join rounds (epochs) the run needed.
@@ -126,7 +97,7 @@ pub(crate) struct ShardTask {
     pub queue: Vec<QueuedAccess>,
     pub completions: Vec<Cycle>,
     /// The per-access latency lower bound; only used to check the invariant the
-    /// adaptive horizon relies on.
+    /// issue horizon relies on.
     min_latency: Cycle,
 }
 
@@ -154,11 +125,11 @@ impl ShardTask {
             // The per-access lower bound every pending-completion deferral is
             // built on (`ChannelShard::access` asserts the same bound at the
             // source): an access can never complete within `min_latency` of its
-            // issue. Unlike PR 3's fixed windows, an adaptive window may well be
-            // longer than `min_latency` — completions of early accesses can land
-            // *inside* the window — but any core whose next issue could observe
-            // such a completion was deferred at issue time, so the bound below is
-            // exactly what correctness needs.
+            // issue. An issue window may well be longer than `min_latency` —
+            // completions of early accesses can land *inside* the window — but
+            // any core whose next issue could observe such a completion was
+            // deferred at issue time, so the bound below is exactly what
+            // correctness needs.
             debug_assert!(
                 outcome.completed_at >= q.at + *min_latency,
                 "access completed within the minimum access latency: issued {} \

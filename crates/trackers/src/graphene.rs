@@ -10,35 +10,34 @@
 //! per activation, which adds 7 bits per entry but leaves the entry count unchanged
 //! (§VI-C).
 //!
-//! # Eviction engines and the observational-equivalence contract
+//! # Eviction and the observational-equivalence contract
 //!
 //! On a miss with a full table, Graphene claims any entry whose count does not
 //! exceed the spillover count. The seed scanned the table and took the *first*
-//! such entry; the [`EvictionEngine::Summary`] engine takes a *minimum-count*
-//! entry from the [`CountSummary`] instead (the minimum is at or below the
-//! spillover count exactly when any claimable entry exists, so while the two
-//! engines' table states agree — i.e. up to the first ambiguous choice — they
-//! evict on exactly the same accesses and maintain identical spillover
-//! trajectories). Which row is displaced can differ when the choice is
-//! ambiguous (two or more claimable entries); from that point the tracked row
-//! sets, spillover trajectories and mitigation *counts* may drift apart
-//! (min-eviction keeps larger counters tracked, so spillover climbs faster
-//! under saturated churn), but the engines remain
+//! such entry; this implementation takes a *minimum-count* entry from a
+//! [`CountSummary`] instead (the minimum is at or below the spillover count
+//! exactly when any claimable entry exists, so while the two tables agree —
+//! i.e. up to the first ambiguous choice — they evict on exactly the same
+//! accesses and maintain identical spillover trajectories). Which row is
+//! displaced can differ when the choice is ambiguous (two or more claimable
+//! entries); from that point the tracked row sets, spillover trajectories and
+//! mitigation *counts* may drift apart (min-eviction keeps larger counters
+//! tracked, so spillover climbs faster under saturated churn), but the two stay
 //! *observationally equivalent*: both satisfy the Misra-Gries guarantee that any
 //! row's untracked activation weight is bounded by the spillover count (at most
 //! total-weight/entries), so every row crossing the internal threshold is still
-//! mitigated in time. When the choice is unambiguous the engines issue identical
-//! mitigation sequences. Both properties are enforced by the
-//! `summary_equivalence` proptest suite and the security-harness A/B gate.
+//! mitigated in time. When the choice is unambiguous they issue identical
+//! mitigation sequences. Both properties are enforced against a transcription
+//! of the seed by the `summary_equivalence` proptest suite and, through the
+//! security harness, by `tests/eviction_equivalence.rs`.
 //!
 //! Invalid entries are claimed **before** any valid entry is considered for
-//! eviction, in both engines. This matters: a mitigation rolls a counter back to
+//! eviction, as in the seed. This matters: a mitigation rolls a counter back to
 //! the spillover value, which can leave a *valid zero-count* entry coexisting
 //! with invalid entries — a min-count eviction that ignored validity would then
 //! displace a still-tracked row while free slots remain (a priority inversion).
-//! The scan engine gets the ordering from its scan structure; the summary engine
-//! claims from an explicit free-slot list before consulting the summary. Both are
-//! unit-tested against exactly that state.
+//! The tracker claims from an explicit free-slot list before consulting the
+//! summary, and is unit-tested against exactly that state.
 
 use impress_dram::address::RowId;
 use impress_dram::timing::Cycle;
@@ -48,7 +47,7 @@ use crate::analysis::{graphene_entries, graphene_internal_threshold};
 use crate::eact::{Eact, EactCounter, RolledRun, CANONICAL_FRAC_BITS};
 use crate::index::RowSlotIndex;
 use crate::storage::{StorageEstimate, COUNTER_BITS, ROW_ADDRESS_BITS};
-use crate::summary::{engine_scaffolding, restock_free_slots, CountSummary, EvictionEngine};
+use crate::summary::{restock_free_slots, summary_scaffolding, CountSummary};
 use crate::tracker::{MitigationRequest, RowTracker, TrackerKind};
 
 /// One Misra-Gries table entry.
@@ -100,39 +99,28 @@ impl GrapheneConfig {
 #[derive(Debug, Clone)]
 pub struct Graphene {
     config: GrapheneConfig,
-    engine: EvictionEngine,
     table: Vec<Entry>,
     /// O(1) row → slot map over the valid table entries (pure acceleration of the
-    /// match path; victim selection is the eviction engine's job — see
-    /// [`crate::index`] and [`crate::summary`]).
+    /// match path; victim selection is the summary's job — see [`crate::index`]
+    /// and [`crate::summary`]).
     index: RowSlotIndex,
-    /// Count-ordered view of the valid entries (summary engine only; empty and
-    /// unmaintained under the scan engine).
+    /// Count-ordered view of the valid entries.
     summary: CountSummary,
     /// Invalid slots awaiting their first row, popped before any eviction is
-    /// considered (summary engine only) — the explicit form of the
-    /// invalid-before-eviction invariant.
+    /// considered — the explicit form of the invalid-before-eviction invariant.
     free_slots: Vec<u32>,
     spillover: EactCounter,
     mitigations: u64,
 }
 
 impl Graphene {
-    /// Creates a Graphene tracker sized for `threshold` (no fractional bits),
-    /// using the default [`EvictionEngine::Summary`] engine.
+    /// Creates a Graphene tracker sized for `threshold` (no fractional bits).
     pub fn for_threshold(threshold: u64) -> Self {
         Self::new(GrapheneConfig::for_threshold(threshold))
     }
 
-    /// Creates a Graphene tracker from an explicit configuration, using the
-    /// default [`EvictionEngine::Summary`] engine.
+    /// Creates a Graphene tracker from an explicit configuration.
     pub fn new(config: GrapheneConfig) -> Self {
-        Self::with_engine(config, EvictionEngine::default())
-    }
-
-    /// Creates a Graphene tracker with an explicit eviction engine (A/B testing
-    /// and the equivalence suites use this to pin each side).
-    pub fn with_engine(config: GrapheneConfig, engine: EvictionEngine) -> Self {
         let table = vec![
             Entry {
                 row: 0,
@@ -142,10 +130,9 @@ impl Graphene {
             config.entries
         ];
         let index = RowSlotIndex::for_entries(config.entries);
-        let (summary, free_slots) = engine_scaffolding(config.entries, engine);
+        let (summary, free_slots) = summary_scaffolding(config.entries);
         Self {
             config,
-            engine,
             table,
             index,
             summary,
@@ -158,11 +145,6 @@ impl Graphene {
     /// The configuration this tracker was built with.
     pub fn config(&self) -> &GrapheneConfig {
         &self.config
-    }
-
-    /// The eviction engine this tracker runs on.
-    pub fn engine(&self) -> EvictionEngine {
-        self.engine
     }
 
     /// Number of mitigations issued so far.
@@ -197,48 +179,11 @@ impl Graphene {
         }
     }
 
-    /// Claims a slot for the missing `row` under the scan engine — the seed's
-    /// selection, bit-identical: first invalid entry, else first entry whose
-    /// count does not exceed the spillover count — or records the activation
-    /// into the spillover counter and returns `None`.
-    fn claim_slot_scan(&mut self, row: RowId, eact: Eact) -> Option<usize> {
-        let spillover_raw = self.spillover.raw();
-        let mut first_invalid = usize::MAX;
-        let mut first_replaceable = usize::MAX;
-        for (i, e) in self.table.iter().enumerate() {
-            if !e.valid {
-                // Invalid entries take priority over replaceable ones wherever
-                // they sit, so the scan can stop at the first one.
-                first_invalid = i;
-                break;
-            }
-            if e.count.raw() <= spillover_raw && first_replaceable == usize::MAX {
-                first_replaceable = i;
-            }
-        }
-        let slot = if first_invalid != usize::MAX {
-            first_invalid
-        } else if first_replaceable != usize::MAX {
-            // Evict: the replaced row leaves the index.
-            self.index.remove(self.table[first_replaceable].row);
-            first_replaceable
-        } else {
-            self.spillover.add(eact);
-            return None;
-        };
-        self.table[slot] = Entry {
-            row,
-            count: self.spillover,
-            valid: true,
-        };
-        self.index.insert(row, slot);
-        Some(slot)
-    }
-
-    /// Claims a slot for the missing `row` under the summary engine: an invalid
-    /// slot off the free list first (the explicit invalid-before-eviction
-    /// invariant), else a minimum-count victim — claimable exactly when the seed
-    /// scan would find any claimable entry. `position` is the miss position
+    /// Claims a slot for the missing `row`: an invalid slot off the free list
+    /// first (the explicit invalid-before-eviction invariant), else a
+    /// minimum-count victim — claimable exactly when the seed's scan would find
+    /// any claimable entry — or records the activation into the spillover
+    /// counter and returns `None`. `position` is the miss position
     /// [`RowSlotIndex::locate`] returned, consumed before any other index
     /// mutation so the claim costs one probe, not two.
     ///
@@ -281,8 +226,8 @@ impl Graphene {
     /// path probes the index once; the miss path replays the per-record claim
     /// attempts, event `k` weighing `eact_at(k)` (each failed attempt spills
     /// that event's weight, exactly as `record` would, and leaves the index
-    /// untouched — so under the summary engine the miss position from `locate`
-    /// stays valid across attempts and the run still costs a single probe).
+    /// untouched — so the miss position from `locate` stays valid across
+    /// attempts and the run still costs a single probe).
     ///
     /// Returns the slot and the number of leading events spilled before it was
     /// claimed (the claiming event is not consumed: its add is the run's
@@ -293,21 +238,13 @@ impl Graphene {
         len: usize,
         eact_at: impl Fn(usize) -> Eact,
     ) -> Option<(usize, usize)> {
-        let hit = match self.engine {
-            EvictionEngine::Scan => self.index.get(row).ok_or(0),
-            EvictionEngine::Summary => self.index.locate(row),
-        };
-        let position = match hit {
+        let position = match self.index.locate(row) {
             Ok(slot) => return Some((slot, 0)),
             Err(position) => position,
         };
         for k in 0..len {
             let eact = self.quantize(eact_at(k));
-            let claimed = match self.engine {
-                EvictionEngine::Scan => self.claim_slot_scan(row, eact),
-                EvictionEngine::Summary => self.claim_slot_summary(row, eact, position),
-            };
-            if let Some(slot) = claimed {
+            if let Some(slot) = self.claim_slot_summary(row, eact, position) {
                 return Some((slot, k));
             }
         }
@@ -326,9 +263,6 @@ impl Graphene {
         final_raw: u64,
         moved: bool,
     ) {
-        if self.engine != EvictionEngine::Summary {
-            return;
-        }
         if summary_count.is_none() {
             self.summary.attach(slot, final_raw);
         } else if moved {
@@ -339,16 +273,6 @@ impl Graphene {
             self.summary.attach(slot, final_raw);
         } else {
             self.summary.set_count(slot, final_raw);
-        }
-    }
-
-    /// The summary's current count for `slot`: equal to the table count on the
-    /// match path, the evicted victim's old count on a claim (the claim defers
-    /// its splice to [`Graphene::settle_summary`]), absent off the free list.
-    fn summary_count(&self, slot: usize) -> Option<u64> {
-        match self.engine {
-            EvictionEngine::Summary => self.summary.count_of(slot),
-            EvictionEngine::Scan => None,
         }
     }
 
@@ -371,17 +295,10 @@ impl RowTracker for Graphene {
     fn record(&mut self, row: RowId, eact: Eact, now: Cycle) -> Option<MitigationRequest> {
         let eact = self.quantize(eact);
         // Misra-Gries update. The match path is O(1) via the row → slot index;
-        // only when the row is absent does the eviction engine pick a slot (O(1)
-        // under the summary engine, O(entries) under the seed's scan).
-        let slot = match self.engine {
-            EvictionEngine::Scan => match self.index.get(row) {
-                Some(slot) => slot,
-                None => self.claim_slot_scan(row, eact)?,
-            },
-            EvictionEngine::Summary => match self.index.locate(row) {
-                Ok(slot) => slot,
-                Err(position) => self.claim_slot_summary(row, eact, position)?,
-            },
+        // only when the row is absent does the summary pick a slot, also in O(1).
+        let slot = match self.index.locate(row) {
+            Ok(slot) => slot,
+            Err(position) => self.claim_slot_summary(row, eact, position)?,
         };
 
         self.table[slot].count.add(eact);
@@ -400,16 +317,14 @@ impl RowTracker for Graphene {
         } else {
             None
         };
-        if self.engine == EvictionEngine::Summary {
-            // One splice covers every case: a matched slot (or a reclaimed
-            // victim, still attached at its old count) moves buckets; a slot
-            // fresh off the free list attaches.
-            let raw = self.table[slot].count.raw();
-            if self.summary.contains(slot) {
-                self.summary.set_count(slot, raw);
-            } else {
-                self.summary.attach(slot, raw);
-            }
+        // One splice covers every case: a matched slot (or a reclaimed victim,
+        // still attached at its old count) moves buckets; a slot fresh off the
+        // free list attaches.
+        let raw = self.table[slot].count.raw();
+        if self.summary.contains(slot) {
+            self.summary.set_count(slot, raw);
+        } else {
+            self.summary.attach(slot, raw);
         }
         mitigation
     }
@@ -450,7 +365,10 @@ impl RowTracker for Graphene {
             }
             let start = self.table[slot].count.raw();
             let end = start.saturating_add(sum);
-            let summary_count = self.summary_count(slot);
+            // The summary's count for the slot: the table count on the match
+            // path, the evicted victim's old count on a claim (the claim defers
+            // its splice to `settle_summary`), absent off the free list.
+            let summary_count = self.summary.count_of(slot);
             // Whether the per-record loop's splices would have moved the slot
             // between buckets at least once. A moved slot sits at the LIFO head
             // of its final bucket even when the final count equals the summary's
@@ -505,7 +423,7 @@ impl RowTracker for Graphene {
         // spillover no longer changes once the slot is resolved).
         let left = count - spilled as u32;
         let weight = u64::from(self.quantize(eact).raw());
-        let summary_count = self.summary_count(slot);
+        let summary_count = self.summary.count_of(slot);
         let run = RolledRun::compute(
             self.table[slot].count.raw(),
             weight,
@@ -526,16 +444,7 @@ impl RowTracker for Graphene {
     }
 
     fn headroom(&self) -> u64 {
-        let max_raw = match self.engine {
-            EvictionEngine::Summary => self.summary.max().map_or(0, |(_, raw)| raw),
-            EvictionEngine::Scan => self
-                .table
-                .iter()
-                .filter(|e| e.valid)
-                .map(|e| e.count.raw())
-                .max()
-                .unwrap_or(0),
-        };
+        let max_raw = self.summary.max().map_or(0, |(_, raw)| raw);
         let threshold_raw = self
             .config
             .internal_threshold
@@ -556,10 +465,8 @@ impl RowTracker for Graphene {
             e.count = EactCounter::ZERO;
         }
         self.index.clear();
-        if self.engine == EvictionEngine::Summary {
-            self.summary.clear();
-            restock_free_slots(&mut self.free_slots, self.config.entries);
-        }
+        self.summary.clear();
+        restock_free_slots(&mut self.free_slots, self.config.entries);
         self.spillover = EactCounter::ZERO;
     }
 
@@ -658,77 +565,34 @@ mod tests {
     /// min-count eviction would invert it: a mitigation rolls a tracked row's
     /// counter back to the (zero) spillover value while invalid slots remain, so
     /// a subsequent miss sees a valid zero-count entry *and* free slots. The new
-    /// row must claim a free slot and the rolled-back row must stay tracked.
+    /// row must claim a free slot and the rolled-back row must stay tracked, as
+    /// the seed's first-invalid scan would have it.
     #[test]
     fn invalid_slots_claimed_before_zero_count_eviction_in_both_engines() {
-        for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-            let config = GrapheneConfig {
-                threshold: 30,
-                internal_threshold: 10,
-                entries: 4,
-                frac_bits: 0,
-            };
-            let mut g = Graphene::with_engine(config, engine);
-            // Drive row 7 to a mitigation: its counter rolls back to spillover (0),
-            // leaving a valid zero-count entry with 3 slots still invalid.
-            let mut mitigated = false;
-            for i in 0..10u64 {
-                mitigated |= g.record(7, Eact::ONE, i * 128).is_some();
-            }
-            assert!(
-                mitigated,
-                "{engine}: row 7 should hit the internal threshold"
-            );
-            assert_eq!(g.tracked_count(7), Some(0), "{engine}");
-            // A miss now must claim an invalid slot, not evict the zero-count row 7
-            // (whose count equals the spillover count and is therefore claimable).
-            g.record(99, Eact::ONE, 2_000);
-            assert_eq!(
-                g.tracked_count(7),
-                Some(0),
-                "{engine}: zero-count row evicted while invalid slots remained"
-            );
-            assert_eq!(g.tracked_count(99), Some(1), "{engine}");
-        }
-    }
-
-    /// Scan and summary engines stay in lockstep on streams whose eviction
-    /// choices are always unambiguous. Two such shapes: a hot set that fits the
-    /// table (no evictions, but mitigations and roll-backs), and a single-entry
-    /// table (every eviction has exactly one candidate) under heavy churn with
-    /// spillover growth. The ambiguity-aware general property lives in
-    /// `tests/summary_equivalence.rs`.
-    #[test]
-    fn engines_agree_on_unambiguous_streams() {
-        let lockstep = |entries: usize, rows: u32| {
-            let config = GrapheneConfig {
-                threshold: 3_000,
-                internal_threshold: 100,
-                entries,
-                frac_bits: 7,
-            };
-            let mut scan = Graphene::with_engine(config.clone(), EvictionEngine::Scan);
-            let mut summary = Graphene::with_engine(config, EvictionEngine::Summary);
-            for i in 0..40_000u64 {
-                let row = (i % u64::from(rows)) as RowId;
-                let eact = Eact::from_f64(1.0 + (row as f64) / 8.0, 7);
-                let a = scan.record(row, eact, i * 128);
-                let b = summary.record(row, eact, i * 128);
-                assert_eq!(a, b, "entries={entries}: diverged at record {i}");
-            }
-            assert_eq!(scan.mitigations(), summary.mitigations());
-            assert!(scan.mitigations() > 0, "entries={entries}: stream too tame");
-            assert_eq!(scan.spillover_raw(), summary.spillover_raw());
-            for row in 0..rows {
-                assert_eq!(
-                    scan.tracked_raw(row),
-                    summary.tracked_raw(row),
-                    "entries={entries} row {row}"
-                );
-            }
+        let config = GrapheneConfig {
+            threshold: 30,
+            internal_threshold: 10,
+            entries: 4,
+            frac_bits: 0,
         };
-        lockstep(8, 8); // matches + mitigation roll-backs, no eviction
-        lockstep(1, 5); // forced (unique-candidate) evictions + spillover growth
+        let mut g = Graphene::new(config);
+        // Drive row 7 to a mitigation: its counter rolls back to spillover (0),
+        // leaving a valid zero-count entry with 3 slots still invalid.
+        let mut mitigated = false;
+        for i in 0..10u64 {
+            mitigated |= g.record(7, Eact::ONE, i * 128).is_some();
+        }
+        assert!(mitigated, "row 7 should hit the internal threshold");
+        assert_eq!(g.tracked_count(7), Some(0));
+        // A miss now must claim an invalid slot, not evict the zero-count row 7
+        // (whose count equals the spillover count and is therefore claimable).
+        g.record(99, Eact::ONE, 2_000);
+        assert_eq!(
+            g.tracked_count(7),
+            Some(0),
+            "zero-count row evicted while invalid slots remained"
+        );
+        assert_eq!(g.tracked_count(99), Some(1));
     }
 
     #[test]

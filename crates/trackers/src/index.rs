@@ -16,14 +16,10 @@
 //!
 //! The index is pure acceleration: it changes which slot is *found*, never which
 //! slot the Misra-Gries algorithm *chooses*. Victim selection on a miss belongs
-//! to the eviction engine ([`crate::summary::EvictionEngine`]): under the scan
-//! engine the table is scanned exactly as in the seed, so tracker behavior is
-//! bit-identical — the property tests in `tests/flat_equivalence.rs` drive the
-//! indexed scan-engine trackers against transcriptions of the original
-//! multi-scan algorithms and require identical mitigation sequences and counter
-//! values. Under the summary engine the victim comes from the count-ordered
-//! [`crate::summary::CountSummary`] in O(1), with the observational-equivalence
-//! contract pinned by `tests/summary_equivalence.rs`.
+//! to the count-ordered [`crate::summary::CountSummary`], which answers in O(1);
+//! `tests/summary_equivalence.rs` pins its observational-equivalence contract
+//! against a transcription of the seed's multi-scan algorithms, and
+//! `tests/flat_equivalence.rs` pins the index against a `HashMap`.
 
 use impress_dram::address::RowId;
 

@@ -60,5 +60,5 @@ pub use mithril::Mithril;
 pub use para::Para;
 pub use prac::Prac;
 pub use storage::StorageEstimate;
-pub use summary::{CountSummary, EvictionEngine};
+pub use summary::CountSummary;
 pub use tracker::{MitigationRequest, RowTracker, TrackerKind};

@@ -10,28 +10,29 @@
 //! Under ImPress-P the counters accumulate fractional [`Eact`] values (7 extra bits per
 //! entry); the entry count stays the same (§VI-C).
 //!
-//! # Eviction engines and the observational-equivalence contract
+//! # Eviction and the observational-equivalence contract
 //!
-//! Mithril's summary needs both ends of the count order: a *minimum*-count entry
+//! Mithril's table needs both ends of the count order: a *minimum*-count entry
 //! to displace on a miss (when the minimum is at or below the spillover count)
 //! and the *maximum*-count entry to mitigate under RFM. The seed found both with
-//! linear scans; the [`EvictionEngine::Summary`] engine reads them off the two
-//! ends of a [`CountSummary`] bucket list in O(1). The engines agree on *when*
-//! evictions and RFM mitigations happen and on every victim choice that is
-//! unambiguous (a unique minimum / unique maximum); among tied counts they may
-//! pick different rows, but both stay within the Misra-Gries error bound (any
-//! row's untracked weight ≤ spillover ≤ total-weight/entries), so the RFM
-//! mitigation stream keeps the same security guarantee. The `summary_equivalence`
-//! proptest suite and the security-harness A/B gate enforce exactly this
-//! contract, and the periodic RFM roll-back (`count := spillover`, a *decrement*)
-//! is exercised by the bucket-ordering round-trip properties.
+//! linear scans; this implementation reads them off the two ends of a
+//! [`CountSummary`] bucket list in O(1). The two agree on *when* evictions and
+//! RFM mitigations happen and on every victim choice that is unambiguous (a
+//! unique minimum / unique maximum); among tied counts they may pick different
+//! rows, but both stay within the Misra-Gries error bound (any row's untracked
+//! weight ≤ spillover ≤ total-weight/entries), so the RFM mitigation stream
+//! keeps the same security guarantee. The `summary_equivalence` proptest suite
+//! checks exactly this contract against a transcription of the seed, and
+//! `tests/eviction_equivalence.rs` checks it through the security harness; the
+//! periodic RFM roll-back (`count := spillover`, a *decrement*) is exercised by
+//! the bucket-ordering round-trip properties.
 //!
-//! Invalid entries are claimed **before** min-count eviction in both engines (the
-//! scan stops at the first invalid entry; the summary engine pops an explicit
-//! free-slot list before consulting the summary). An RFM roll-back to a zero
-//! spillover leaves a valid zero-count entry that a validity-blind min-eviction
-//! would displace while free slots remain — the priority inversion this explicit
-//! invariant (and its unit tests, in both engines) rules out.
+//! Invalid entries are claimed **before** min-count eviction, as in the seed's
+//! first-invalid scan: the tracker pops an explicit free-slot list before
+//! consulting the summary. An RFM roll-back to a zero spillover leaves a valid
+//! zero-count entry that a validity-blind min-eviction would displace while
+//! free slots remain — the priority inversion this explicit invariant (and its
+//! unit test) rules out.
 
 use impress_dram::address::RowId;
 use impress_dram::timing::Cycle;
@@ -40,7 +41,7 @@ use crate::analysis::mithril_entries;
 use crate::eact::{Eact, EactCounter, CANONICAL_FRAC_BITS};
 use crate::index::RowSlotIndex;
 use crate::storage::{StorageEstimate, COUNTER_BITS, ROW_ADDRESS_BITS};
-use crate::summary::{engine_scaffolding, restock_free_slots, CountSummary, EvictionEngine};
+use crate::summary::{restock_free_slots, summary_scaffolding, CountSummary};
 use crate::tracker::{MitigationRequest, RowTracker, TrackerKind};
 
 #[derive(Debug, Clone, Copy)]
@@ -91,39 +92,28 @@ impl MithrilConfig {
 #[derive(Debug, Clone)]
 pub struct Mithril {
     config: MithrilConfig,
-    engine: EvictionEngine,
     table: Vec<Entry>,
     /// O(1) row → slot map over the valid table entries (pure acceleration of the
-    /// match path; victim selection is the eviction engine's job — see
-    /// [`crate::index`] and [`crate::summary`]).
+    /// match path; victim selection is the summary's job — see [`crate::index`]
+    /// and [`crate::summary`]).
     index: RowSlotIndex,
-    /// Count-ordered view of the valid entries (summary engine only; empty and
-    /// unmaintained under the scan engine).
+    /// Count-ordered view of the valid entries.
     summary: CountSummary,
     /// Invalid slots awaiting their first row, popped before any eviction is
-    /// considered (summary engine only) — the explicit form of the
-    /// invalid-before-eviction invariant.
+    /// considered — the explicit form of the invalid-before-eviction invariant.
     free_slots: Vec<u32>,
     spillover: EactCounter,
     mitigations: u64,
 }
 
 impl Mithril {
-    /// Creates a Mithril tracker sized for `threshold` at RFMTH = 80, using the
-    /// default [`EvictionEngine::Summary`] engine.
+    /// Creates a Mithril tracker sized for `threshold` at RFMTH = 80.
     pub fn for_threshold(threshold: u64) -> Self {
         Self::new(MithrilConfig::for_threshold(threshold))
     }
 
-    /// Creates a Mithril tracker from an explicit configuration, using the
-    /// default [`EvictionEngine::Summary`] engine.
+    /// Creates a Mithril tracker from an explicit configuration.
     pub fn new(config: MithrilConfig) -> Self {
-        Self::with_engine(config, EvictionEngine::default())
-    }
-
-    /// Creates a Mithril tracker with an explicit eviction engine (A/B testing
-    /// and the equivalence suites use this to pin each side).
-    pub fn with_engine(config: MithrilConfig, engine: EvictionEngine) -> Self {
         let table = vec![
             Entry {
                 row: 0,
@@ -133,10 +123,9 @@ impl Mithril {
             config.entries
         ];
         let index = RowSlotIndex::for_entries(config.entries);
-        let (summary, free_slots) = engine_scaffolding(config.entries, engine);
+        let (summary, free_slots) = summary_scaffolding(config.entries);
         Self {
             config,
-            engine,
             table,
             index,
             summary,
@@ -149,11 +138,6 @@ impl Mithril {
     /// The configuration this tracker was built with.
     pub fn config(&self) -> &MithrilConfig {
         &self.config
-    }
-
-    /// The eviction engine this tracker runs on.
-    pub fn engine(&self) -> EvictionEngine {
-        self.engine
     }
 
     /// Number of mitigations performed under RFM so far.
@@ -188,15 +172,48 @@ impl Mithril {
         }
     }
 
-    /// Installs the missing `row` at `count` in `slot` (index and, under the
-    /// summary engine, summary kept in lockstep).
-    fn install(&mut self, slot: usize, row: RowId, count: EactCounter) {
+    /// Claims a slot for the missing `row` and installs it at `count`: an
+    /// invalid slot off the free list first (the explicit invalid-before-eviction
+    /// invariant), else the minimum-count entry when it is at or below the
+    /// spillover count — displaceable exactly when the seed's scan would displace
+    /// its minimum. Returns `None`, leaving everything untouched, when no entry
+    /// is displaceable. `position` is the miss position
+    /// [`RowSlotIndex::locate`] returned; the insert happens before the victim is
+    /// removed, keeping it valid.
+    // `record` takes this path on every miss of a churn stream; keep it free
+    // of a call.
+    #[inline(always)]
+    fn claim_slot_summary(
+        &mut self,
+        row: RowId,
+        count: EactCounter,
+        position: usize,
+    ) -> Option<usize> {
+        let slot = if let Some(free) = self.free_slots.pop() {
+            let slot = free as usize;
+            self.index.insert_at(position, row, slot);
+            self.summary.attach(slot, count.raw());
+            slot
+        } else {
+            // The fused call checks the eviction condition, unlinks the victim
+            // and re-links it at the new count in one pass.
+            let slot = self
+                .summary
+                .evict_min_if_at_most(self.spillover.raw(), count.raw())?;
+            debug_assert!(
+                self.free_slots.is_empty(),
+                "eviction considered while invalid slots remain"
+            );
+            self.index.insert_at(position, row, slot);
+            self.index.remove(self.table[slot].row);
+            slot
+        };
         self.table[slot] = Entry {
             row,
             count,
             valid: true,
         };
-        self.index.insert(row, slot);
+        Some(slot)
     }
 
     /// Resolves one slot for a run of `len` same-row events, shared by
@@ -213,84 +230,22 @@ impl Mithril {
         len: usize,
         eact_at: impl Fn(usize) -> Eact,
     ) -> Option<(usize, usize)> {
-        match self.engine {
-            EvictionEngine::Scan => {
-                if let Some(slot) = self.index.get(row) {
-                    return Some((slot, 0));
-                }
-                for k in 0..len {
-                    let eact = self.quantize(eact_at(k));
-                    let mut count = self.spillover;
-                    count.add(eact);
-                    let mut first_invalid = usize::MAX;
-                    let mut min_idx = 0usize;
-                    let mut min_raw = u64::MAX;
-                    for (s, e) in self.table.iter().enumerate() {
-                        if !e.valid {
-                            first_invalid = s;
-                            break;
-                        }
-                        if e.count.raw() < min_raw {
-                            min_raw = e.count.raw();
-                            min_idx = s;
-                        }
-                    }
-                    if first_invalid != usize::MAX {
-                        self.install(first_invalid, row, count);
-                        return Some((first_invalid, k + 1));
-                    } else if min_raw <= self.spillover.raw() {
-                        self.index.remove(self.table[min_idx].row);
-                        self.install(min_idx, row, count);
-                        return Some((min_idx, k + 1));
-                    }
-                    self.spillover.add(eact);
-                }
-                None
+        // `position` stays valid across failed attempts: a failed claim only
+        // grows the spillover counter.
+        let position = match self.index.locate(row) {
+            Ok(slot) => return Some((slot, 0)),
+            Err(position) => position,
+        };
+        for k in 0..len {
+            let eact = self.quantize(eact_at(k));
+            let mut count = self.spillover;
+            count.add(eact);
+            if let Some(slot) = self.claim_slot_summary(row, count, position) {
+                return Some((slot, k + 1));
             }
-            EvictionEngine::Summary => {
-                // `position` stays valid across failed attempts: a failed
-                // claim only grows the spillover counter.
-                let position = match self.index.locate(row) {
-                    Ok(slot) => return Some((slot, 0)),
-                    Err(position) => position,
-                };
-                for k in 0..len {
-                    let eact = self.quantize(eact_at(k));
-                    let mut count = self.spillover;
-                    count.add(eact);
-                    if let Some(free) = self.free_slots.pop() {
-                        let slot = free as usize;
-                        self.index.insert_at(position, row, slot);
-                        self.table[slot] = Entry {
-                            row,
-                            count,
-                            valid: true,
-                        };
-                        self.summary.attach(slot, count.raw());
-                        return Some((slot, k + 1));
-                    }
-                    if let Some(slot) = self
-                        .summary
-                        .evict_min_if_at_most(self.spillover.raw(), count.raw())
-                    {
-                        debug_assert!(
-                            self.free_slots.is_empty(),
-                            "eviction considered while invalid slots remain"
-                        );
-                        self.index.insert_at(position, row, slot);
-                        self.index.remove(self.table[slot].row);
-                        self.table[slot] = Entry {
-                            row,
-                            count,
-                            valid: true,
-                        };
-                        return Some((slot, k + 1));
-                    }
-                    self.spillover.add(eact);
-                }
-                None
-            }
+            self.spillover.add(eact);
         }
+        None
     }
 
     /// Adds `weight` (raw Q7) to `slot`'s counter with one summary splice.
@@ -298,9 +253,7 @@ impl Mithril {
         if weight > 0 {
             let final_raw = self.table[slot].count.raw().saturating_add(weight);
             self.table[slot].count = EactCounter::from_raw(final_raw);
-            if self.engine == EvictionEngine::Summary {
-                self.summary.set_count(slot, final_raw);
-            }
+            self.summary.set_count(slot, final_raw);
         }
     }
 }
@@ -309,91 +262,21 @@ impl RowTracker for Mithril {
     fn record(&mut self, row: RowId, eact: Eact, _now: Cycle) -> Option<MitigationRequest> {
         let eact = self.quantize(eact);
         // The match path is O(1) via the row → slot index; only when the row is
-        // absent does the eviction engine pick a slot (O(1) under the summary
-        // engine, O(entries) under the seed's scan). Mithril never mitigates
-        // outside of RFM, so every path returns `None`.
-        match self.engine {
-            EvictionEngine::Scan => {
-                if let Some(slot) = self.index.get(row) {
-                    self.table[slot].count.add(eact);
-                    return None;
-                }
-                let mut count = self.spillover;
-                count.add(eact);
-                let mut first_invalid = usize::MAX;
-                let mut min_idx = 0usize;
-                let mut min_raw = u64::MAX;
-                for (i, e) in self.table.iter().enumerate() {
-                    if !e.valid {
-                        // Invalid entries take priority over the minimum-count
-                        // eviction wherever they sit, so the scan can stop at the
-                        // first one.
-                        first_invalid = i;
-                        break;
-                    }
-                    if e.count.raw() < min_raw {
-                        min_raw = e.count.raw();
-                        min_idx = i;
-                    }
-                }
-                if first_invalid != usize::MAX {
-                    self.install(first_invalid, row, count);
-                } else if min_raw <= self.spillover.raw() {
-                    self.index.remove(self.table[min_idx].row);
-                    self.install(min_idx, row, count);
-                } else {
-                    self.spillover.add(eact);
-                }
+        // absent does the summary pick a slot, also in O(1). `locate` hands the
+        // miss position straight to the claim, so a miss costs one probe.
+        // Mithril never mitigates outside of RFM, so every path returns `None`.
+        let position = match self.index.locate(row) {
+            Ok(slot) => {
+                self.table[slot].count.add(eact);
+                self.summary.set_count(slot, self.table[slot].count.raw());
+                return None;
             }
-            EvictionEngine::Summary => {
-                // `locate` hands the miss position straight to `insert_at`, so a
-                // miss costs one probe; the insert happens before the victim is
-                // removed, keeping the position valid.
-                let position = match self.index.locate(row) {
-                    Ok(slot) => {
-                        self.table[slot].count.add(eact);
-                        self.summary.set_count(slot, self.table[slot].count.raw());
-                        return None;
-                    }
-                    Err(position) => position,
-                };
-                let mut count = self.spillover;
-                count.add(eact);
-                if let Some(free) = self.free_slots.pop() {
-                    let slot = free as usize;
-                    self.index.insert_at(position, row, slot);
-                    self.table[slot] = Entry {
-                        row,
-                        count,
-                        valid: true,
-                    };
-                    self.summary.attach(slot, count.raw());
-                } else {
-                    // A minimum-count entry is displaceable exactly when the seed
-                    // scan would displace its minimum; the fused call checks the
-                    // condition, unlinks the victim and re-links it at the new
-                    // count in one pass.
-                    match self
-                        .summary
-                        .evict_min_if_at_most(self.spillover.raw(), count.raw())
-                    {
-                        Some(slot) => {
-                            debug_assert!(
-                                self.free_slots.is_empty(),
-                                "eviction considered while invalid slots remain"
-                            );
-                            self.index.insert_at(position, row, slot);
-                            self.index.remove(self.table[slot].row);
-                            self.table[slot] = Entry {
-                                row,
-                                count,
-                                valid: true,
-                            };
-                        }
-                        None => self.spillover.add(eact),
-                    }
-                }
-            }
+            Err(position) => position,
+        };
+        let mut count = self.spillover;
+        count.add(eact);
+        if self.claim_slot_summary(row, count, position).is_none() {
+            self.spillover.add(eact);
         }
         None
     }
@@ -417,7 +300,7 @@ impl RowTracker for Mithril {
             if let Some((slot, consumed)) = self.resolve_run_slot(row, run.len(), |k| run[k]) {
                 // Run-length aggregation of the remaining events: Mithril never
                 // mitigates in `record`, so the whole tail collapses into one
-                // weighted add and (under the summary engine) one splice.
+                // weighted add and one splice.
                 let mut sum = 0u64;
                 for &e in &run[consumed..] {
                     sum = sum.saturating_add(u64::from(self.quantize(e).raw()));
@@ -455,18 +338,7 @@ impl RowTracker for Mithril {
     }
 
     fn on_rfm(&mut self, now: Cycle) -> Option<MitigationRequest> {
-        let (slot, max_raw) = match self.engine {
-            EvictionEngine::Scan => {
-                let (slot, best) = self
-                    .table
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.valid)
-                    .max_by_key(|(_, e)| e.count.raw())?;
-                (slot, best.count.raw())
-            }
-            EvictionEngine::Summary => self.summary.max()?,
-        };
+        let (slot, max_raw) = self.summary.max()?;
         if max_raw == 0 {
             return None;
         }
@@ -474,9 +346,7 @@ impl RowTracker for Mithril {
         // Roll the mitigated row's counter back to the spillover value (a
         // *decrement* whenever any activation spilled since the last reset).
         self.table[slot].count = self.spillover;
-        if self.engine == EvictionEngine::Summary {
-            self.summary.set_count(slot, self.spillover.raw());
-        }
+        self.summary.set_count(slot, self.spillover.raw());
         self.mitigations += 1;
         Some(MitigationRequest {
             aggressor,
@@ -490,10 +360,8 @@ impl RowTracker for Mithril {
             e.count = EactCounter::ZERO;
         }
         self.index.clear();
-        if self.engine == EvictionEngine::Summary {
-            self.summary.clear();
-            restock_free_slots(&mut self.free_slots, self.config.entries);
-        }
+        self.summary.clear();
+        restock_free_slots(&mut self.free_slots, self.config.entries);
         self.spillover = EactCounter::ZERO;
     }
 
@@ -592,81 +460,31 @@ mod tests {
     /// row's counter back to the (zero) spillover value while invalid slots
     /// remain, so a subsequent miss sees a valid zero-count entry *and* free
     /// slots. The new row must claim a free slot and the rolled-back row must
-    /// stay tracked.
+    /// stay tracked, as the seed's first-invalid scan would have it.
     #[test]
     fn invalid_slots_claimed_before_zero_count_eviction_in_both_engines() {
-        for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-            let config = MithrilConfig {
-                threshold: 4_000,
-                rfm_threshold: 80,
-                entries: 4,
-                frac_bits: 0,
-            };
-            let mut m = Mithril::with_engine(config, engine);
-            for i in 0..5u64 {
-                m.record(7, Eact::ONE, i * 128);
-            }
-            let req = m.on_rfm(1_000).expect("row 7 is the unique maximum");
-            assert_eq!(req.aggressor, 7, "{engine}");
-            assert_eq!(m.tracked_count(7), Some(0), "{engine}: rolled back to 0");
-            // A miss now must claim an invalid slot, not evict the zero-count row 7
-            // (whose count equals the spillover count and is therefore displaceable).
-            m.record(99, Eact::ONE, 2_000);
-            assert_eq!(
-                m.tracked_count(7),
-                Some(0),
-                "{engine}: zero-count row evicted while invalid slots remained"
-            );
-            assert_eq!(m.tracked_count(99), Some(1), "{engine}");
-        }
-    }
-
-    /// Scan and summary engines stay in lockstep (records and RFM mitigations) on
-    /// streams whose min/max choices are always unambiguous: a hot set that fits
-    /// the table with distinct per-row weights (unique maxima for RFM), and a
-    /// single-entry table where every eviction and every RFM has exactly one
-    /// candidate. The ambiguity-aware general property lives in
-    /// `tests/summary_equivalence.rs`.
-    #[test]
-    fn engines_agree_on_unambiguous_streams() {
-        let lockstep = |entries: usize, rows: u32| {
-            let config = MithrilConfig {
-                threshold: 4_000,
-                rfm_threshold: 80,
-                entries,
-                frac_bits: 7,
-            };
-            let mut scan = Mithril::with_engine(config.clone(), EvictionEngine::Scan);
-            let mut summary = Mithril::with_engine(config, EvictionEngine::Summary);
-            let mut mitigations = 0u64;
-            for i in 0..40_000u64 {
-                let row = (i % u64::from(rows)) as RowId;
-                // Distinct per-row weights keep tracked counts unique.
-                let eact = Eact::from_f64(1.0 + (row as f64) / 8.0, 7);
-                assert_eq!(
-                    scan.record(row, eact, i * 128),
-                    summary.record(row, eact, i * 128),
-                    "entries={entries}: diverged at record {i}"
-                );
-                if i % 80 == 79 {
-                    let a = scan.on_rfm(i * 128);
-                    assert_eq!(a, summary.on_rfm(i * 128), "entries={entries}: RFM {i}");
-                    mitigations += u64::from(a.is_some());
-                }
-            }
-            assert_eq!(scan.mitigations(), summary.mitigations());
-            assert!(mitigations > 0, "entries={entries}: stream too tame");
-            assert_eq!(scan.spillover_raw(), summary.spillover_raw());
-            for row in 0..rows {
-                assert_eq!(
-                    scan.tracked_raw(row),
-                    summary.tracked_raw(row),
-                    "entries={entries} row {row}"
-                );
-            }
+        let config = MithrilConfig {
+            threshold: 4_000,
+            rfm_threshold: 80,
+            entries: 4,
+            frac_bits: 0,
         };
-        lockstep(8, 8); // matches + RFM roll-backs, no eviction
-        lockstep(1, 5); // forced (unique-candidate) evictions + spillover growth
+        let mut m = Mithril::new(config);
+        for i in 0..5u64 {
+            m.record(7, Eact::ONE, i * 128);
+        }
+        let req = m.on_rfm(1_000).expect("row 7 is the unique maximum");
+        assert_eq!(req.aggressor, 7);
+        assert_eq!(m.tracked_count(7), Some(0), "rolled back to 0");
+        // A miss now must claim an invalid slot, not evict the zero-count row 7
+        // (whose count equals the spillover count and is therefore displaceable).
+        m.record(99, Eact::ONE, 2_000);
+        assert_eq!(
+            m.tracked_count(7),
+            Some(0),
+            "zero-count row evicted while invalid slots remained"
+        );
+        assert_eq!(m.tracked_count(99), Some(1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! O(1) min/max-count maintenance for Misra-Gries tables: the stream-summary
-//! eviction engine.
+//! O(1) min/max-count maintenance for Misra-Gries tables: the stream summary
+//! behind Graphene's and Mithril's eviction and RFM choices.
 //!
 //! Graphene and Mithril need three ordered queries over their counter tables that
 //! the seed answered with linear scans on every *miss*:
@@ -31,7 +31,7 @@
 //!   cluster tightly and the walk is O(1) amortized, and a single-occupant bucket
 //!   whose neighbours are not crossed is re-counted in place without any splice.
 //!
-//! Selecting among *tied* minima (or maxima) is where the engine deliberately
+//! Selecting among *tied* minima (or maxima) is where the summary deliberately
 //! diverges from the seed's scan: the scan broke ties by table order, the summary
 //! by bucket-list order. The Misra-Gries/Space-Saving guarantees do not depend on
 //! the tie-break, so the trackers enforce an **observational-equivalence
@@ -39,74 +39,30 @@
 //! [`crate::graphene`]/[`crate::mithril`] and the `summary_equivalence`
 //! integration suite.
 
-use std::fmt;
-
 /// Sentinel for "no slot / no bucket".
 const NIL: u32 = u32::MAX;
 
-/// Which eviction implementation a Graphene/Mithril instance uses.
-///
-/// * [`EvictionEngine::Scan`] — the seed's linear scan over the table on every
-///   miss (and, for Mithril, on every RFM). Bit-identical to the original
-///   algorithms; kept for A/B comparison in tests and `perf_report`.
-/// * [`EvictionEngine::Summary`] — the bucketed [`CountSummary`] structure;
-///   observationally equivalent (same mitigation multiset whenever the victim
-///   choice is unambiguous, same Misra-Gries error bound always) and O(1) on the
-///   miss path.
-///
-/// `Summary` is the default; `Scan` is reachable only by pinning it
-/// explicitly ([`crate::Graphene::with_engine`], [`crate::Mithril::with_engine`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EvictionEngine {
-    /// Linear-scan eviction (the seed algorithm, bit-identical).
-    Scan,
-    /// Bucketed stream-summary eviction (O(1), observationally equivalent).
-    #[default]
-    Summary,
-}
-
-impl EvictionEngine {
-    /// Short name used in reports (`"scan"` / `"summary"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            EvictionEngine::Scan => "scan",
-            EvictionEngine::Summary => "summary",
-        }
-    }
-}
-
-impl fmt::Display for EvictionEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Builds the per-tracker summary-engine scaffolding: the [`CountSummary`] and
-/// the invalid-slot free list (claimed before any eviction is considered — the
-/// explicit invalid-before-eviction invariant). Under the scan engine both are
-/// empty and never maintained.
+/// Builds a counter table's summary scaffolding: an empty [`CountSummary`] and
+/// the invalid-slot free list, full (claimed before any eviction is considered
+/// — the explicit invalid-before-eviction invariant).
 ///
 /// Shared by Graphene and Mithril so the free-slot pop order — load-bearing
 /// for the lockstep equivalence of invalid claims, see
 /// [`restock_free_slots`] — is defined in exactly one place.
-pub fn engine_scaffolding(entries: usize, engine: EvictionEngine) -> (CountSummary, Vec<u32>) {
-    match engine {
-        EvictionEngine::Scan => (CountSummary::new(0), Vec::new()),
-        EvictionEngine::Summary => {
-            let mut free_slots = Vec::with_capacity(entries);
-            restock_free_slots(&mut free_slots, entries);
-            (CountSummary::new(entries), free_slots)
-        }
-    }
+pub fn summary_scaffolding(entries: usize) -> (CountSummary, Vec<u32>) {
+    let mut free_slots = Vec::with_capacity(entries);
+    restock_free_slots(&mut free_slots, entries);
+    (CountSummary::new(entries), free_slots)
 }
 
 /// Refills the invalid-slot free list with every slot (a refresh-window reset).
 ///
 /// Slots are stacked in reverse so pops claim slot 0 first — the same order the
-/// scan engine's first-invalid search produces. Slot identity is unobservable,
-/// but keeping the orders aligned means an invalid claim can never be the point
-/// where the engines' table layouts diverge, which makes divergences in the
-/// equivalence suites attributable to tied-victim choices alone.
+/// seed's first-invalid scan produces. Slot identity is unobservable, but
+/// keeping the orders aligned means an invalid claim can never be the point
+/// where the tracker's and the seed's table layouts diverge, which makes
+/// divergences in the equivalence suites attributable to tied-victim choices
+/// alone.
 pub fn restock_free_slots(free_slots: &mut Vec<u32>, entries: usize) {
     free_slots.clear();
     free_slots.extend((0..entries as u32).rev());
@@ -245,7 +201,7 @@ impl CountSummary {
     ///
     /// Among tied minima the most recently attached slot is returned (bucket
     /// member lists are LIFO) — a deterministic tie-break, but a different one
-    /// from the scan engine's table order.
+    /// from the seed scan's table order.
     #[inline]
     pub fn min(&self) -> Option<(usize, u64)> {
         (self.first != NIL).then(|| {
@@ -601,13 +557,6 @@ impl CountSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_is_summary() {
-        assert_eq!(EvictionEngine::default(), EvictionEngine::Summary);
-        assert_eq!(EvictionEngine::Summary.label(), "summary");
-        assert_eq!(EvictionEngine::Scan.to_string(), "scan");
-    }
 
     #[test]
     fn attach_min_max_detach_roundtrip() {

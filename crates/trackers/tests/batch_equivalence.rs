@@ -7,9 +7,9 @@
 //! engine does) must produce the same mitigation sequence and leave the tracker
 //! in the same observable state as recording every event individually.
 //!
-//! The suite pins that contract for all four specialized trackers — Graphene
-//! and Mithril under *both* eviction engines, PRAC, and PARA (whose kernel must
-//! preserve the RNG stream decision-for-decision) — plus the headroom
+//! The suite pins that contract for all four specialized trackers — Graphene,
+//! Mithril, PRAC, and PARA (whose kernel must preserve the RNG stream
+//! decision-for-decision) — plus the headroom
 //! invariant the staging engine's safety argument rests on: absorbing total
 //! weight of at most [`RowTracker::headroom`] can never mitigate.
 //!
@@ -22,8 +22,8 @@
 use impress_trackers::graphene::GrapheneConfig;
 use impress_trackers::mithril::MithrilConfig;
 use impress_trackers::{
-    Eact, EvictionEngine, Graphene, Mint, Mithril, MitigationRequest, Para, Prac, RowTracker,
-    StorageEstimate, TrackerKind,
+    Eact, Graphene, Mint, Mithril, MitigationRequest, Para, Prac, RowTracker, StorageEstimate,
+    TrackerKind,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -104,15 +104,9 @@ proptest! {
     #[test]
     fn graphene_batched_matches_per_record(
         seed in 0u64..1_000_000,
-        engine_summary in 0u32..2,
         universe in 4u32..64,
         max_batch in 1usize..80,
     ) {
-        let engine = if engine_summary == 1 {
-            EvictionEngine::Summary
-        } else {
-            EvictionEngine::Scan
-        };
         // Tiny table and threshold so matches, evictions, spillover claims and
         // threshold crossings all occur within a short stream.
         let config = GrapheneConfig {
@@ -121,8 +115,8 @@ proptest! {
             entries: 4,
             frac_bits: 7,
         };
-        let mut per = Graphene::with_engine(config.clone(), engine);
-        let mut bat = Graphene::with_engine(config, engine);
+        let mut per = Graphene::new(config.clone());
+        let mut bat = Graphene::new(config);
         let events = stream(seed, 600, universe);
         let sizes = batch_sizes(seed, events.len(), max_batch);
         let mitigations = drive(&mut per, &mut bat, &events, &sizes);
@@ -138,24 +132,18 @@ proptest! {
     #[test]
     fn mithril_batched_matches_per_record_with_rfm(
         seed in 0u64..1_000_000,
-        engine_summary in 0u32..2,
         universe in 4u32..64,
         max_batch in 1usize..80,
         rfm_every in 2usize..9,
     ) {
-        let engine = if engine_summary == 1 {
-            EvictionEngine::Summary
-        } else {
-            EvictionEngine::Scan
-        };
         let config = MithrilConfig {
             threshold: 500,
             rfm_threshold: 16,
             entries: 4,
             frac_bits: 7,
         };
-        let mut per = Mithril::with_engine(config.clone(), engine);
-        let mut bat = Mithril::with_engine(config, engine);
+        let mut per = Mithril::new(config.clone());
+        let mut bat = Mithril::new(config);
         let events = stream(seed, 600, universe);
         let sizes = batch_sizes(seed, events.len(), max_batch);
         // Interleave RFMs between batches: Mithril only mitigates there, and
@@ -226,21 +214,15 @@ proptest! {
     #[test]
     fn headroom_admits_only_mitigation_free_spans(
         seed in 0u64..1_000_000,
-        engine_summary in 0u32..2,
         universe in 4u32..64,
     ) {
-        let engine = if engine_summary == 1 {
-            EvictionEngine::Summary
-        } else {
-            EvictionEngine::Scan
-        };
         let config = GrapheneConfig {
             threshold: 100,
             internal_threshold: 24,
             entries: 4,
             frac_bits: 7,
         };
-        let mut graphene = Graphene::with_engine(config, engine);
+        let mut graphene = Graphene::new(config);
         let mut prac = Prac::for_threshold(20, 7, 1 << 10);
         // Random warm-up prefix to land the trackers in an arbitrary state.
         let warmup = stream(seed, 200, universe);
@@ -293,14 +275,6 @@ fn runs(seed: u64, len: usize, universe: u32) -> Vec<Run> {
             (row, eact, count)
         })
         .collect()
-}
-
-fn engine(summary: u32) -> EvictionEngine {
-    if summary == 1 {
-        EvictionEngine::Summary
-    } else {
-        EvictionEngine::Scan
-    }
 }
 
 /// Feeds each counted event to `per` as `count` calls of `record` and to `run`
@@ -387,14 +361,14 @@ fn same_mithril(per: &Mithril, run: &Mithril, universe: u32) {
 /// A Graphene run that starts untracked in a full table whose spillover is
 /// already past the internal threshold: every claim succeeds at a count that
 /// crosses, so every event of the run mitigates.
-fn graphene_spillover_past_threshold(engine: EvictionEngine) -> Graphene {
+fn graphene_spillover_past_threshold() -> Graphene {
     let config = GrapheneConfig {
         threshold: 12,
         internal_threshold: 4,
         entries: 2,
         frac_bits: 7,
     };
-    let mut g = Graphene::with_engine(config, engine);
+    let mut g = Graphene::new(config);
     // Two tracked rows just under the threshold fill the table; two heavy
     // misses fail to claim and spill 2 × 480 raw past the 512 limit.
     for (row, raw) in [(1, 500), (2, 500), (3, 480), (4, 480)] {
@@ -411,17 +385,15 @@ fn graphene_spillover_past_threshold(engine: EvictionEngine) -> Graphene {
 
 #[test]
 fn graphene_record_run_with_spillover_past_the_threshold() {
-    for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-        let mut per = graphene_spillover_past_threshold(engine);
-        let mut run = graphene_spillover_past_threshold(engine);
-        let events = [(5, Eact::ONE, 10), (6, Eact::ONE, 1), (1, Eact::ONE, 37)];
-        let suffix = stream(3, 200, 8);
-        drive_runs(&mut per, &mut run, &events, &suffix, |_, per, run| {
-            same_graphene(per, run, 8)
-        });
-        // 10 + 1 + 37 crossings, then whatever the suffix adds.
-        assert!(per.mitigations() >= 48, "{engine}: {}", per.mitigations());
-    }
+    let mut per = graphene_spillover_past_threshold();
+    let mut run = graphene_spillover_past_threshold();
+    let events = [(5, Eact::ONE, 10), (6, Eact::ONE, 1), (1, Eact::ONE, 37)];
+    let suffix = stream(3, 200, 8);
+    drive_runs(&mut per, &mut run, &events, &suffix, |_, per, run| {
+        same_graphene(per, run, 8)
+    });
+    // 10 + 1 + 37 crossings, then whatever the suffix adds.
+    assert!(per.mitigations() >= 48, "{}", per.mitigations());
 }
 
 /// A run that leaves a slot at the count it started from, after crossing
@@ -429,97 +401,91 @@ fn graphene_record_run_with_spillover_past_the_threshold() {
 /// bucket, as the per-record splices do; the next eviction takes the head.
 #[test]
 fn graphene_record_run_moves_a_returning_slot_to_the_bucket_head() {
-    for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-        let config = GrapheneConfig {
-            threshold: 12,
-            internal_threshold: 4,
-            entries: 2,
-            frac_bits: 7,
-        };
-        let mut per = Graphene::with_engine(config.clone(), engine);
-        let mut run = Graphene::with_engine(config, engine);
-        // Rows 1 and 2 each cross once and roll back to the zero spillover:
-        // both sit in the zero bucket, row 2 at its head. Row 1 then runs
-        // 0 → 1 → 2 → 3 → 0, ending in the bucket it started from, and the
-        // miss on row 3 evicts whichever row heads that bucket.
-        let events = [
-            (1, Eact::ONE, 4),
-            (2, Eact::ONE, 4),
-            (1, Eact::ONE, 4),
-            (3, Eact::ONE, 1),
-        ];
-        drive_runs(&mut per, &mut run, &events, &[], |_, per, run| {
-            same_graphene(per, run, 4)
-        });
-        // Row 1 heads the bucket (in the scan engine: comes first in table
-        // order), so it is the one evicted.
-        assert_eq!(per.tracked_raw(1), None, "{engine}");
-        assert_eq!(per.tracked_raw(2), Some(0), "{engine}");
-    }
+    let config = GrapheneConfig {
+        threshold: 12,
+        internal_threshold: 4,
+        entries: 2,
+        frac_bits: 7,
+    };
+    let mut per = Graphene::new(config.clone());
+    let mut run = Graphene::new(config);
+    // Rows 1 and 2 each cross once and roll back to the zero spillover:
+    // both sit in the zero bucket, row 2 at its head. Row 1 then runs
+    // 0 → 1 → 2 → 3 → 0, ending in the bucket it started from, and the
+    // miss on row 3 evicts whichever row heads that bucket.
+    let events = [
+        (1, Eact::ONE, 4),
+        (2, Eact::ONE, 4),
+        (1, Eact::ONE, 4),
+        (3, Eact::ONE, 1),
+    ];
+    drive_runs(&mut per, &mut run, &events, &[], |_, per, run| {
+        same_graphene(per, run, 4)
+    });
+    // Row 1 heads the bucket, so it is the one evicted.
+    assert_eq!(per.tracked_raw(1), None);
+    assert_eq!(per.tracked_raw(2), Some(0));
 }
 
 /// A run on a missing row whose claim fails several times (every tracked count
-/// is above the spillover) before it sticks, in both trackers and engines.
+/// is above the spillover) before it sticks, in both trackers.
 #[test]
 fn record_run_replays_failed_claims() {
-    for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-        let graphene = || {
-            let config = GrapheneConfig {
-                threshold: 100,
-                internal_threshold: 24,
-                entries: 2,
-                frac_bits: 7,
-            };
-            let mut g = Graphene::with_engine(config, engine);
-            g.record_run(1, Eact::ONE, 8, 0, &mut Vec::new());
-            g.record_run(2, Eact::ONE, 8, 0, &mut Vec::new());
-            g
+    let graphene = || {
+        let config = GrapheneConfig {
+            threshold: 100,
+            internal_threshold: 24,
+            entries: 2,
+            frac_bits: 7,
         };
-        let (mut per, mut run) = (graphene(), graphene());
-        let events = [(3, Eact::ONE, 20), (3, Eact::ONE, 200)];
-        drive_runs(
-            &mut per,
-            &mut run,
-            &events,
-            &stream(4, 200, 6),
-            |_, per, run| same_graphene(per, run, 6),
-        );
-        assert!(per.spillover_raw() > 0, "{engine}: no claim failed");
+        let mut g = Graphene::new(config);
+        g.record_run(1, Eact::ONE, 8, 0, &mut Vec::new());
+        g.record_run(2, Eact::ONE, 8, 0, &mut Vec::new());
+        g
+    };
+    let (mut per, mut run) = (graphene(), graphene());
+    let events = [(3, Eact::ONE, 20), (3, Eact::ONE, 200)];
+    drive_runs(
+        &mut per,
+        &mut run,
+        &events,
+        &stream(4, 200, 6),
+        |_, per, run| same_graphene(per, run, 6),
+    );
+    assert!(per.spillover_raw() > 0, "Graphene: no claim failed");
 
-        let mithril = || {
-            let config = MithrilConfig {
-                threshold: 500,
-                rfm_threshold: 16,
-                entries: 2,
-                frac_bits: 7,
-            };
-            let mut m = Mithril::with_engine(config, engine);
-            m.record_run(1, Eact::ONE, 8, 0, &mut Vec::new());
-            m.record_run(2, Eact::ONE, 8, 0, &mut Vec::new());
-            m
+    let mithril = || {
+        let config = MithrilConfig {
+            threshold: 500,
+            rfm_threshold: 16,
+            entries: 2,
+            frac_bits: 7,
         };
-        let (mut per, mut run) = (mithril(), mithril());
-        drive_runs(
-            &mut per,
-            &mut run,
-            &events,
-            &stream(5, 200, 6),
-            |k, per, run| {
-                same_mithril(per, run, 6);
-                if k % 7 == 6 {
-                    assert_eq!(run.on_rfm(k as u64), per.on_rfm(k as u64));
-                }
-            },
-        );
-        assert!(per.spillover_raw() > 0, "{engine}: no claim failed");
-    }
+        let mut m = Mithril::new(config);
+        m.record_run(1, Eact::ONE, 8, 0, &mut Vec::new());
+        m.record_run(2, Eact::ONE, 8, 0, &mut Vec::new());
+        m
+    };
+    let (mut per, mut run) = (mithril(), mithril());
+    drive_runs(
+        &mut per,
+        &mut run,
+        &events,
+        &stream(5, 200, 6),
+        |k, per, run| {
+            same_mithril(per, run, 6);
+            if k % 7 == 6 {
+                assert_eq!(run.on_rfm(k as u64), per.on_rfm(k as u64));
+            }
+        },
+    );
+    assert!(per.spillover_raw() > 0, "Mithril: no claim failed");
 }
 
 proptest! {
     #[test]
     fn graphene_record_run_matches_repeated_record(
         seed in 0u64..1_000_000,
-        engine_summary in 0u32..2,
         frac7 in 0u32..2,
         universe in 4u32..64,
     ) {
@@ -531,8 +497,8 @@ proptest! {
             entries: 4,
             frac_bits: 7 * frac7,
         };
-        let mut per = Graphene::with_engine(config.clone(), engine(engine_summary));
-        let mut run = Graphene::with_engine(config, engine(engine_summary));
+        let mut per = Graphene::new(config.clone());
+        let mut run = Graphene::new(config);
         let events = runs(seed, 40, universe);
         let suffix = stream(seed ^ 0x5AFF, 300, universe);
         drive_runs(&mut per, &mut run, &events, &suffix, |k, per, run| {
@@ -547,7 +513,6 @@ proptest! {
     #[test]
     fn default_record_run_matches_repeated_record(
         seed in 0u64..1_000_000,
-        engine_summary in 0u32..2,
         universe in 4u32..64,
     ) {
         // Graphene mitigates from `record` and keeps summary tie order, so the
@@ -558,8 +523,8 @@ proptest! {
             entries: 4,
             frac_bits: 7,
         };
-        let mut per = DefaultRun(Graphene::with_engine(config.clone(), engine(engine_summary)));
-        let mut run = DefaultRun(Graphene::with_engine(config, engine(engine_summary)));
+        let mut per = DefaultRun(Graphene::new(config.clone()));
+        let mut run = DefaultRun(Graphene::new(config));
         let events = runs(seed, 40, universe);
         let suffix = stream(seed ^ 0x5AFF, 300, universe);
         drive_runs(&mut per, &mut run, &events, &suffix, |_, per, run| {
@@ -570,7 +535,6 @@ proptest! {
     #[test]
     fn mithril_record_run_matches_repeated_record(
         seed in 0u64..1_000_000,
-        engine_summary in 0u32..2,
         frac7 in 0u32..2,
         universe in 4u32..64,
         rfm_every in 1usize..6,
@@ -581,8 +545,8 @@ proptest! {
             entries: 4,
             frac_bits: 7 * frac7,
         };
-        let mut per = Mithril::with_engine(config.clone(), engine(engine_summary));
-        let mut run = Mithril::with_engine(config, engine(engine_summary));
+        let mut per = Mithril::new(config.clone());
+        let mut run = Mithril::new(config);
         let events = runs(seed, 40, universe);
         let suffix = stream(seed ^ 0x5AFF, 300, universe);
         drive_runs(&mut per, &mut run, &events, &suffix, |k, per, run| {

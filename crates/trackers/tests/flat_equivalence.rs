@@ -1,25 +1,17 @@
-//! Behavioral-equivalence property tests for the hot-path tracker rewrites.
+//! Behavioral-equivalence property tests for the flat hot-path structures.
 //!
-//! PR 2 replaced PRAC's `HashMap` with an open-addressed flat table and collapsed
-//! Graphene's and Mithril's multi-scan Misra-Gries updates into single passes. These
-//! tests drive the optimized trackers and straight transcriptions of the seed's
-//! map/multi-scan algorithms with identical random activation streams and require
-//! identical observable behavior: the same mitigation requests in the same order,
-//! the same counter values, and the same state after refresh-window resets.
-//!
-//! Graphene/Mithril are pinned to [`EvictionEngine::Scan`] here: this suite is the
-//! bit-identical contract of the *scan* engine. The O(1) stream-summary engine is
-//! held to the (deliberately weaker) observational-equivalence contract in
-//! `summary_equivalence.rs`.
+//! PR 2 replaced PRAC's `HashMap` with an open-addressed flat table, and PR 3
+//! gave Graphene and Mithril an open-addressed row → slot index. These tests
+//! drive both against `HashMap` models with identical random streams and
+//! require identical observable behavior: the same mitigation requests in the
+//! same order, the same counter values, and the same state after
+//! refresh-window resets. Graphene's and Mithril's table algorithms are held
+//! to the seed in `summary_equivalence.rs`.
 
 use std::collections::HashMap;
 
 use impress_trackers::eact::{Eact, EactCounter, CANONICAL_FRAC_BITS};
-use impress_trackers::graphene::GrapheneConfig;
-use impress_trackers::mithril::MithrilConfig;
-use impress_trackers::{
-    EvictionEngine, Graphene, Mithril, MitigationRequest, Prac, RowSlotIndex, RowTracker,
-};
+use impress_trackers::{MitigationRequest, Prac, RowSlotIndex, RowTracker};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -77,183 +69,6 @@ impl ReferencePrac {
     }
 }
 
-#[derive(Clone, Copy)]
-struct RefEntry {
-    row: RowId,
-    count: EactCounter,
-    valid: bool,
-}
-
-/// The seed's Graphene `record`: three separate table scans.
-struct ReferenceGraphene {
-    internal_threshold: u64,
-    frac_bits: u32,
-    table: Vec<RefEntry>,
-    spillover: EactCounter,
-}
-
-impl ReferenceGraphene {
-    fn new(config: &GrapheneConfig) -> Self {
-        Self {
-            internal_threshold: config.internal_threshold,
-            frac_bits: config.frac_bits,
-            table: vec![
-                RefEntry {
-                    row: 0,
-                    count: EactCounter::ZERO,
-                    valid: false,
-                };
-                config.entries
-            ],
-            spillover: EactCounter::ZERO,
-        }
-    }
-
-    fn quantize(&self, eact: Eact) -> Eact {
-        if self.frac_bits >= CANONICAL_FRAC_BITS {
-            eact
-        } else {
-            let drop = CANONICAL_FRAC_BITS - self.frac_bits;
-            Eact::from_raw((eact.raw() >> drop) << drop)
-        }
-    }
-
-    fn record(&mut self, row: RowId, eact: Eact, now: Cycle) -> Option<MitigationRequest> {
-        let eact = self.quantize(eact);
-        let slot = if let Some(i) = self.table.iter().position(|e| e.valid && e.row == row) {
-            i
-        } else if let Some(i) = self.table.iter().position(|e| !e.valid) {
-            self.table[i] = RefEntry {
-                row,
-                count: self.spillover,
-                valid: true,
-            };
-            i
-        } else if let Some(i) = self
-            .table
-            .iter()
-            .position(|e| e.count.raw() <= self.spillover.raw())
-        {
-            self.table[i] = RefEntry {
-                row,
-                count: self.spillover,
-                valid: true,
-            };
-            i
-        } else {
-            self.spillover.add(eact);
-            return None;
-        };
-
-        self.table[slot].count.add(eact);
-        if self.table[slot].count.reached(self.internal_threshold) {
-            self.table[slot].count = self.spillover;
-            Some(MitigationRequest {
-                aggressor: row,
-                identified_at: now,
-            })
-        } else {
-            None
-        }
-    }
-
-    fn on_refresh_window(&mut self) {
-        for e in &mut self.table {
-            e.valid = false;
-            e.count = EactCounter::ZERO;
-        }
-        self.spillover = EactCounter::ZERO;
-    }
-}
-
-/// The seed's Mithril `record`/`on_rfm`: find + find + min_by_key scans.
-struct ReferenceMithril {
-    frac_bits: u32,
-    table: Vec<RefEntry>,
-    spillover: EactCounter,
-}
-
-impl ReferenceMithril {
-    fn new(config: &MithrilConfig) -> Self {
-        Self {
-            frac_bits: config.frac_bits,
-            table: vec![
-                RefEntry {
-                    row: 0,
-                    count: EactCounter::ZERO,
-                    valid: false,
-                };
-                config.entries
-            ],
-            spillover: EactCounter::ZERO,
-        }
-    }
-
-    fn quantize(&self, eact: Eact) -> Eact {
-        if self.frac_bits >= CANONICAL_FRAC_BITS {
-            eact
-        } else {
-            let drop = CANONICAL_FRAC_BITS - self.frac_bits;
-            Eact::from_raw((eact.raw() >> drop) << drop)
-        }
-    }
-
-    fn record(&mut self, row: RowId, eact: Eact) {
-        let eact = self.quantize(eact);
-        if let Some(e) = self.table.iter_mut().find(|e| e.valid && e.row == row) {
-            e.count.add(eact);
-        } else if let Some(e) = self.table.iter_mut().find(|e| !e.valid) {
-            let mut count = self.spillover;
-            count.add(eact);
-            *e = RefEntry {
-                row,
-                count,
-                valid: true,
-            };
-        } else if let Some(e) = self
-            .table
-            .iter_mut()
-            .min_by_key(|e| e.count.raw())
-            .filter(|e| e.count.raw() <= self.spillover.raw())
-        {
-            let mut count = self.spillover;
-            count.add(eact);
-            *e = RefEntry {
-                row,
-                count,
-                valid: true,
-            };
-        } else {
-            self.spillover.add(eact);
-        }
-    }
-
-    fn on_rfm(&mut self, now: Cycle) -> Option<MitigationRequest> {
-        let best = self
-            .table
-            .iter_mut()
-            .filter(|e| e.valid)
-            .max_by_key(|e| e.count.raw())?;
-        if best.count.raw() == 0 {
-            return None;
-        }
-        let aggressor = best.row;
-        best.count = self.spillover;
-        Some(MitigationRequest {
-            aggressor,
-            identified_at: now,
-        })
-    }
-
-    fn on_refresh_window(&mut self) {
-        for e in &mut self.table {
-            e.valid = false;
-            e.count = EactCounter::ZERO;
-        }
-        self.spillover = EactCounter::ZERO;
-    }
-}
-
 /// A random activation stream: mostly a small hot set (to exercise matches and
 /// evictions) plus a uniform tail (to exercise spillover), with occasional
 /// fractional EACT weights and refresh-window resets.
@@ -301,50 +116,6 @@ proptest! {
         }
     }
 
-    /// The single-pass Graphene update behaves exactly like the seed's three-scan
-    /// update: same mitigation sequence and same tracked counts.
-    ///
-    /// Deliberately small tables (the paper-sized ~700-entry table makes the O(entries)
-    /// reference scan unaffordable across 256 property cases in debug builds): every
-    /// code path — match, invalid claim, spillover eviction, spillover overflow,
-    /// mitigation rollback — is hit far more often with 4-48 entries, not less.
-    #[test]
-    fn graphene_single_pass_matches_three_scan_reference(
-        seed in 0u64..1_000_000,
-        entries in 4usize..48,
-        internal_threshold in 20u64..300,
-        frac_bits in 0u32..=7,
-    ) {
-        let config = GrapheneConfig {
-            threshold: internal_threshold * 3,
-            internal_threshold,
-            entries,
-            frac_bits,
-        };
-        let mut optimized = Graphene::with_engine(config.clone(), EvictionEngine::Scan);
-        let mut reference = ReferenceGraphene::new(&config);
-        // More distinct rows than table entries, so eviction and spillover paths run.
-        let universe = (config.entries as u32).saturating_mul(3).max(64);
-        for (i, (row, eact, reset)) in stream(seed, 2_000, 16, universe).into_iter().enumerate() {
-            let now = i as u64 * 128;
-            if reset {
-                optimized.on_refresh_window(now);
-                reference.on_refresh_window();
-            }
-            let a = optimized.record(row, eact, now);
-            let b = reference.record(row, eact, now);
-            prop_assert_eq!(a, b);
-        }
-        for row in 0..universe {
-            let refcount = reference
-                .table
-                .iter()
-                .find(|e| e.valid && e.row == row)
-                .map(|e| e.count.activations());
-            prop_assert_eq!(optimized.tracked_count(row), refcount);
-        }
-    }
-
     /// The row → slot index behaves exactly like a `HashMap<RowId, usize>` under
     /// tracker-shaped operation streams: inserts of absent rows, removals (present
     /// and absent), lookups, and full clears. Exercises backward-shift deletion by
@@ -386,109 +157,6 @@ proptest! {
         // Full sweep: every key in the universe agrees.
         for row in 0..universe {
             prop_assert_eq!(index.get(row), model.get(&row).copied());
-        }
-    }
-
-    /// Eviction-churn worst case for the indexed Graphene: every row is cold
-    /// (universe >> entries, no hot set), so nearly every record evicts a table
-    /// entry and rewrites the index. Behavior must still match the three-scan
-    /// reference exactly.
-    #[test]
-    fn graphene_index_matches_reference_under_eviction_churn(
-        seed in 0u64..1_000_000,
-        entries in 4usize..32,
-    ) {
-        let config = GrapheneConfig {
-            threshold: 300,
-            internal_threshold: 100,
-            entries,
-            frac_bits: 7,
-        };
-        let mut optimized = Graphene::with_engine(config.clone(), EvictionEngine::Scan);
-        let mut reference = ReferenceGraphene::new(&config);
-        let universe = (entries as u32) * 16;
-        for (i, (row, eact, reset)) in stream(seed, 3_000, universe, universe)
-            .into_iter()
-            .enumerate()
-        {
-            let now = i as u64 * 128;
-            if reset {
-                optimized.on_refresh_window(now);
-                reference.on_refresh_window();
-            }
-            prop_assert_eq!(optimized.record(row, eact, now), reference.record(row, eact, now));
-        }
-        for row in 0..universe {
-            let refcount = reference
-                .table
-                .iter()
-                .find(|e| e.valid && e.row == row)
-                .map(|e| e.count.activations());
-            prop_assert_eq!(optimized.tracked_count(row), refcount);
-        }
-    }
-
-    /// Same eviction-churn pinning for the indexed Mithril, including RFM-time
-    /// hottest-row selection between churn bursts.
-    #[test]
-    fn mithril_index_matches_reference_under_eviction_churn(
-        seed in 0u64..1_000_000,
-        entries in 4usize..32,
-    ) {
-        let config = MithrilConfig {
-            threshold: 4_000,
-            rfm_threshold: 80,
-            entries,
-            frac_bits: 7,
-        };
-        let mut optimized = Mithril::with_engine(config.clone(), EvictionEngine::Scan);
-        let mut reference = ReferenceMithril::new(&config);
-        let universe = (entries as u32) * 16;
-        for (i, (row, eact, reset)) in stream(seed, 3_000, universe, universe)
-            .into_iter()
-            .enumerate()
-        {
-            let now = i as u64 * 128;
-            if reset {
-                optimized.on_refresh_window(now);
-                reference.on_refresh_window();
-            }
-            prop_assert_eq!(optimized.record(row, eact, now), None);
-            reference.record(row, eact);
-            if i % 80 == 79 {
-                prop_assert_eq!(optimized.on_rfm(now), reference.on_rfm(now));
-            }
-        }
-    }
-
-    /// The single-pass Mithril update behaves exactly like the seed's scans,
-    /// including the RFM-time hottest-row selection (same small-table rationale as
-    /// the Graphene property above).
-    #[test]
-    fn mithril_single_pass_matches_reference(
-        seed in 0u64..1_000_000,
-        entries in 4usize..48,
-        frac_bits in 0u32..=7,
-    ) {
-        let config = MithrilConfig {
-            threshold: 4_000,
-            rfm_threshold: 80,
-            entries,
-            frac_bits,
-        };
-        let mut optimized = Mithril::with_engine(config.clone(), EvictionEngine::Scan);
-        let mut reference = ReferenceMithril::new(&config);
-        let universe = (config.entries as u32).saturating_mul(3).max(64);
-        for (i, (row, eact, _)) in stream(seed, 2_000, 16, universe).into_iter().enumerate() {
-            let now = i as u64 * 128;
-            prop_assert_eq!(optimized.record(row, eact, now), None);
-            reference.record(row, eact);
-            // RFM cadence: every 80 activations, both mitigate the hottest row.
-            if i % 80 == 79 {
-                let a = optimized.on_rfm(now);
-                let b = reference.on_rfm(now);
-                prop_assert_eq!(a, b);
-            }
         }
     }
 }

@@ -1,28 +1,29 @@
-//! Observational-equivalence property tests for the stream-summary eviction engine.
+//! Observational-equivalence property tests for the stream-summary trackers.
 //!
-//! PR 5 replaced the linear-scan eviction path of Graphene/Mithril with the
-//! bucketed [`CountSummary`] structure (`EvictionEngine::Summary`). Among *tied*
-//! minimum- (or maximum-) count entries the summary may pick a different victim
-//! than the seed's table-order scan, so bit-identical selection is deliberately
-//! relaxed to an **observational-equivalence contract**, which this suite pins:
+//! Graphene and Mithril choose their eviction and RFM victims from the
+//! bucketed [`CountSummary`] structure. Among *tied* minimum- (or maximum-)
+//! count entries the summary may pick a different victim than the seed's
+//! table-order scan, so bit-identical selection is deliberately relaxed to an
+//! **observational-equivalence contract**, which this suite pins against the
+//! seed transcription in `support/seed.rs`:
 //!
 //! (a) On any access stream, as long as every victim choice has been
 //!     *unambiguous* (exactly one claimable candidate on eviction, a unique
-//!     maximum on RFM), the summary engine issues exactly the same mitigation
-//!     requests at the same accesses as the scan engine, with identical counter
-//!     state — checked access-by-access against an oracle transcription of the
-//!     seed algorithm that also reports when a choice was ambiguous.
+//!     maximum on RFM), the summary trackers issue exactly the same mitigation
+//!     requests at the same accesses as the seed, with identical counter
+//!     state — checked access-by-access against the seed, which also reports
+//!     when a choice was ambiguous.
 //!
-//! (b) Regardless of ties, both engines satisfy the Misra-Gries/Space-Saving
-//!     error bound. The security-relevant half holds on *any* stream: a row's
-//!     true recorded weight since its last mitigation never exceeds its tracked
-//!     counter (or, if untracked, the spillover count) — the tracker never
-//!     undercounts, so every row crossing the internal threshold is caught. The
-//!     classical `count_error ≤ N / k` bound on the spillover term is a
-//!     *unit-increment* Misra-Gries property and is asserted exactly on
-//!     unit-weight streams; weighted EACT streams can legitimately push the
-//!     spillover past N/k (a new entry inherits the whole spillover count, so
-//!     cheap evictions can re-arm an expensive spill — see
+//! (b) Regardless of ties, the summary trackers satisfy the
+//!     Misra-Gries/Space-Saving error bound. The security-relevant half holds
+//!     on *any* stream: a row's true recorded weight since its last mitigation
+//!     never exceeds its tracked counter (or, if untracked, the spillover
+//!     count) — the tracker never undercounts, so every row crossing the
+//!     internal threshold is caught. The classical `count_error ≤ N / k` bound
+//!     on the spillover term is a *unit-increment* Misra-Gries property and is
+//!     asserted exactly on unit-weight streams; weighted EACT streams can
+//!     legitimately push the spillover past N/k (a new entry inherits the whole
+//!     spillover count, so cheap evictions can re-arm an expensive spill — see
 //!     `unit_weight_spillover_bound` for the discussion), and get the per-row
 //!     no-undercount bound plus `spillover ≤ N` instead.
 //!
@@ -33,30 +34,25 @@
 
 use std::collections::HashMap;
 
-use impress_trackers::eact::{Eact, EactCounter, CANONICAL_FRAC_BITS};
+use impress_trackers::eact::Eact;
 use impress_trackers::graphene::GrapheneConfig;
 use impress_trackers::mithril::MithrilConfig;
-use impress_trackers::{
-    CountSummary, EvictionEngine, Graphene, Mithril, MitigationRequest, RowTracker,
-};
+use impress_trackers::{CountSummary, Graphene, Mithril, RowTracker};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-type RowId = u32;
-type Cycle = u64;
+#[path = "support/seed.rs"]
+mod seed;
 
-fn quantize(eact: Eact, frac_bits: u32) -> Eact {
-    if frac_bits >= CANONICAL_FRAC_BITS {
-        eact
-    } else {
-        let drop = CANONICAL_FRAC_BITS - frac_bits;
-        Eact::from_raw((eact.raw() >> drop) << drop)
-    }
-}
+use seed::{quantize, SeedGraphene, SeedMithril};
+
+type RowId = u32;
 
 /// A random activation stream: a weighted hot set (matches, mitigations), a
 /// uniform tail (evictions, spillover) and occasional refresh-window resets.
+/// With `hot_rows == universe` every row is cold, so nearly every record
+/// evicts a table entry.
 fn stream(seed: u64, len: usize, hot_rows: u32, universe: u32) -> Vec<(RowId, Eact, bool)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..len)
@@ -78,215 +74,15 @@ fn stream(seed: u64, len: usize, hot_rows: u32, universe: u32) -> Vec<(RowId, Ea
         .collect()
 }
 
-#[derive(Clone, Copy)]
-struct RefEntry {
-    row: RowId,
-    count: EactCounter,
-    valid: bool,
-}
-
-/// Oracle transcription of the seed Graphene: behaves exactly like the scan
-/// engine *and* reports whether each decision involved an ambiguous victim
-/// choice (more than one claimable entry on an eviction).
-struct GrapheneOracle {
-    internal_threshold: u64,
-    frac_bits: u32,
-    table: Vec<RefEntry>,
-    spillover: EactCounter,
-}
-
-impl GrapheneOracle {
-    fn new(config: &GrapheneConfig) -> Self {
-        Self {
-            internal_threshold: config.internal_threshold,
-            frac_bits: config.frac_bits,
-            table: vec![
-                RefEntry {
-                    row: 0,
-                    count: EactCounter::ZERO,
-                    valid: false,
-                };
-                config.entries
-            ],
-            spillover: EactCounter::ZERO,
-        }
-    }
-
-    /// Replays one record; returns the seed's mitigation decision and whether the
-    /// victim choice (if any) was ambiguous.
-    fn record(&mut self, row: RowId, eact: Eact, now: Cycle) -> (Option<MitigationRequest>, bool) {
-        let eact = quantize(eact, self.frac_bits);
-        let mut ambiguous = false;
-        let slot = if let Some(i) = self.table.iter().position(|e| e.valid && e.row == row) {
-            i
-        } else if let Some(i) = self.table.iter().position(|e| !e.valid) {
-            self.table[i] = RefEntry {
-                row,
-                count: self.spillover,
-                valid: true,
-            };
-            i
-        } else {
-            let claimable = self
-                .table
-                .iter()
-                .filter(|e| e.count.raw() <= self.spillover.raw())
-                .count();
-            ambiguous = claimable > 1;
-            if let Some(i) = self
-                .table
-                .iter()
-                .position(|e| e.count.raw() <= self.spillover.raw())
-            {
-                self.table[i] = RefEntry {
-                    row,
-                    count: self.spillover,
-                    valid: true,
-                };
-                i
-            } else {
-                self.spillover.add(eact);
-                return (None, false);
-            }
-        };
-        self.table[slot].count.add(eact);
-        if self.table[slot].count.reached(self.internal_threshold) {
-            self.table[slot].count = self.spillover;
-            (
-                Some(MitigationRequest {
-                    aggressor: row,
-                    identified_at: now,
-                }),
-                ambiguous,
-            )
-        } else {
-            (None, ambiguous)
-        }
-    }
-
-    fn on_refresh_window(&mut self) {
-        for e in &mut self.table {
-            e.valid = false;
-            e.count = EactCounter::ZERO;
-        }
-        self.spillover = EactCounter::ZERO;
-    }
-}
-
-/// Oracle transcription of the seed Mithril, reporting ambiguity of eviction
-/// (tied minima among valid entries) and RFM (tied maxima) choices.
-struct MithrilOracle {
-    frac_bits: u32,
-    table: Vec<RefEntry>,
-    spillover: EactCounter,
-}
-
-impl MithrilOracle {
-    fn new(config: &MithrilConfig) -> Self {
-        Self {
-            frac_bits: config.frac_bits,
-            table: vec![
-                RefEntry {
-                    row: 0,
-                    count: EactCounter::ZERO,
-                    valid: false,
-                };
-                config.entries
-            ],
-            spillover: EactCounter::ZERO,
-        }
-    }
-
-    fn record(&mut self, row: RowId, eact: Eact) -> bool {
-        let eact = quantize(eact, self.frac_bits);
-        if let Some(e) = self.table.iter_mut().find(|e| e.valid && e.row == row) {
-            e.count.add(eact);
-            return false;
-        }
-        if let Some(e) = self.table.iter_mut().find(|e| !e.valid) {
-            let mut count = self.spillover;
-            count.add(eact);
-            *e = RefEntry {
-                row,
-                count,
-                valid: true,
-            };
-            return false;
-        }
-        let min_raw = self
-            .table
-            .iter()
-            .map(|e| e.count.raw())
-            .min()
-            .unwrap_or(u64::MAX);
-        if min_raw > self.spillover.raw() {
-            self.spillover.add(eact);
-            return false;
-        }
-        let ambiguous = self
-            .table
-            .iter()
-            .filter(|e| e.count.raw() == min_raw)
-            .count()
-            > 1;
-        let idx = self
-            .table
-            .iter()
-            .position(|e| e.count.raw() == min_raw)
-            .unwrap();
-        let mut count = self.spillover;
-        count.add(eact);
-        self.table[idx] = RefEntry {
-            row,
-            count,
-            valid: true,
-        };
-        ambiguous
-    }
-
-    fn on_rfm(&mut self, now: Cycle) -> (Option<MitigationRequest>, bool) {
-        let Some(max_raw) = self
-            .table
-            .iter()
-            .filter(|e| e.valid)
-            .map(|e| e.count.raw())
-            .max()
-        else {
-            return (None, false);
-        };
-        if max_raw == 0 {
-            return (None, false);
-        }
-        let ambiguous = self
-            .table
-            .iter()
-            .filter(|e| e.valid && e.count.raw() == max_raw)
-            .count()
-            > 1;
-        // The seed used `max_by_key`, which returns the *last* maximal element.
-        let idx = self
-            .table
-            .iter()
-            .rposition(|e| e.valid && e.count.raw() == max_raw)
-            .unwrap();
-        let aggressor = self.table[idx].row;
-        self.table[idx].count = self.spillover;
-        (
-            Some(MitigationRequest {
-                aggressor,
-                identified_at: now,
-            }),
-            ambiguous,
-        )
-    }
-
-    fn on_refresh_window(&mut self) {
-        for e in &mut self.table {
-            e.valid = false;
-            e.count = EactCounter::ZERO;
-        }
-        self.spillover = EactCounter::ZERO;
-    }
+/// The two stream shapes the equivalence properties replay: a 16-row hot set
+/// over three tables' worth of rows, and all-cold eviction churn over sixteen.
+fn equivalence_streams(seed: u64, entries: usize) -> [Vec<(RowId, Eact, bool)>; 2] {
+    let universe = (entries as u32).saturating_mul(3).max(64);
+    let churn = (entries as u32) * 16;
+    [
+        stream(seed, 2_000, 16, universe),
+        stream(seed, 3_000, churn, churn),
+    ]
 }
 
 /// Tracks each row's true recorded weight since its last mitigation (or the last
@@ -316,10 +112,11 @@ impl TrueWeights {
 }
 
 proptest! {
-    /// (a) Scan vs summary Graphene: identical mitigation decisions, counter
-    /// state and spillover at every access, for as long as every victim choice
-    /// has been unambiguous. (On fully unambiguous streams this is equality of
-    /// the whole mitigation sequence — in particular of the mitigation multiset.)
+    /// (a) Summary Graphene vs the seed: identical mitigation decisions,
+    /// counter state and spillover at every access, for as long as every
+    /// victim choice has been unambiguous. (On fully unambiguous streams this
+    /// is equality of the whole mitigation sequence — in particular of the
+    /// mitigation multiset.)
     #[test]
     fn graphene_engines_agree_until_first_ambiguous_choice(
         seed in 0u64..1_000_000,
@@ -333,39 +130,36 @@ proptest! {
             entries,
             frac_bits,
         };
-        let mut scan = Graphene::with_engine(config.clone(), EvictionEngine::Scan);
-        let mut summary = Graphene::with_engine(config.clone(), EvictionEngine::Summary);
-        let mut oracle = GrapheneOracle::new(&config);
-        let universe = (entries as u32).saturating_mul(3).max(64);
-        let mut clean_prefix = 0u32;
-        for (i, (row, eact, reset)) in stream(seed, 2_000, 16, universe).into_iter().enumerate() {
-            let now = i as u64 * 128;
-            if reset {
-                scan.on_refresh_window(now);
-                summary.on_refresh_window(now);
-                oracle.on_refresh_window();
+        for accesses in equivalence_streams(seed, entries) {
+            let mut summary = Graphene::new(config.clone());
+            let mut oracle = SeedGraphene::new(config.clone());
+            let mut clean_prefix = 0u32;
+            for (i, (row, eact, reset)) in accesses.into_iter().enumerate() {
+                let now = i as u64 * 128;
+                if reset {
+                    summary.on_refresh_window(now);
+                    oracle.on_refresh_window(now);
+                }
+                let expected = oracle.record(row, eact, now);
+                let b = summary.record(row, eact, now);
+                prop_assert!(b == expected, "summary diverged from the seed at {i}: {b:?} vs {expected:?}");
+                prop_assert_eq!(summary.spillover_raw(), oracle.spillover_raw());
+                prop_assert_eq!(summary.tracked_raw(row), oracle.tracked_raw(row));
+                if oracle.ambiguous() {
+                    // From the first ambiguous victim choice on, the two may
+                    // legitimately track different rows; only the error bound
+                    // (tested separately) is guaranteed.
+                    break;
+                }
+                clean_prefix += 1;
             }
-            let a = scan.record(row, eact, now);
-            let b = summary.record(row, eact, now);
-            let (expected, ambiguous) = oracle.record(row, eact, now);
-            prop_assert!(a == expected, "scan engine diverged from seed at {i}: {a:?} vs {expected:?}");
-            prop_assert!(b == expected, "summary engine diverged at {i} (unambiguous): {b:?} vs {expected:?}");
-            prop_assert_eq!(scan.spillover_raw(), summary.spillover_raw());
-            prop_assert_eq!(scan.tracked_raw(row), summary.tracked_raw(row));
-            if ambiguous {
-                // From the first ambiguous victim choice on, the engines may
-                // legitimately track different rows; only the error bound
-                // (tested separately) is guaranteed.
-                break;
-            }
-            clean_prefix += 1;
+            // Bookkeeping so a generator regression (never exercising eviction
+            // at all) cannot silently hollow the property out.
+            prop_assert!(clean_prefix > 0);
         }
-        // Bookkeeping so a generator regression (never exercising eviction at
-        // all) cannot silently hollow the property out.
-        prop_assert!(clean_prefix > 0);
     }
 
-    /// (a) Scan vs summary Mithril, including RFM-time maximum selection:
+    /// (a) Summary Mithril vs the seed, including RFM-time maximum selection:
     /// identical records and RFM mitigations until the first ambiguous choice
     /// (tied minimum on eviction or tied maximum on RFM).
     #[test]
@@ -380,47 +174,41 @@ proptest! {
             entries,
             frac_bits,
         };
-        let mut scan = Mithril::with_engine(config.clone(), EvictionEngine::Scan);
-        let mut summary = Mithril::with_engine(config.clone(), EvictionEngine::Summary);
-        let mut oracle = MithrilOracle::new(&config);
-        let universe = (entries as u32).saturating_mul(3).max(64);
-        'stream: for (i, (row, eact, reset)) in
-            stream(seed, 2_000, 16, universe).into_iter().enumerate()
-        {
-            let now = i as u64 * 128;
-            if reset {
-                scan.on_refresh_window(now);
-                summary.on_refresh_window(now);
-                oracle.on_refresh_window();
-            }
-            prop_assert_eq!(scan.record(row, eact, now), None);
-            prop_assert_eq!(summary.record(row, eact, now), None);
-            let ambiguous = oracle.record(row, eact);
-            prop_assert_eq!(scan.spillover_raw(), summary.spillover_raw());
-            prop_assert_eq!(scan.tracked_raw(row), summary.tracked_raw(row));
-            if ambiguous {
-                break 'stream;
-            }
-            if i % 80 == 79 {
-                let a = scan.on_rfm(now);
-                let b = summary.on_rfm(now);
-                let (expected, rfm_ambiguous) = oracle.on_rfm(now);
-                prop_assert!(a == expected, "scan RFM diverged from seed at {i}: {a:?} vs {expected:?}");
-                if rfm_ambiguous {
-                    // A tied maximum: both engines must still mitigate *some*
-                    // maximal row now, but may disagree on which.
-                    prop_assert_eq!(b.is_some(), expected.is_some());
-                    break 'stream;
+        for accesses in equivalence_streams(seed, entries) {
+            let mut summary = Mithril::new(config.clone());
+            let mut oracle = SeedMithril::new(config.clone());
+            for (i, (row, eact, reset)) in accesses.into_iter().enumerate() {
+                let now = i as u64 * 128;
+                if reset {
+                    summary.on_refresh_window(now);
+                    oracle.on_refresh_window(now);
                 }
-                prop_assert!(b == expected, "summary RFM diverged at {i} (unambiguous): {b:?} vs {expected:?}");
+                prop_assert_eq!(summary.record(row, eact, now), None);
+                prop_assert_eq!(oracle.record(row, eact, now), None);
+                prop_assert_eq!(summary.spillover_raw(), oracle.spillover_raw());
+                prop_assert_eq!(summary.tracked_raw(row), oracle.tracked_raw(row));
+                if oracle.ambiguous() {
+                    break;
+                }
+                if i % 80 == 79 {
+                    let b = summary.on_rfm(now);
+                    let expected = oracle.on_rfm(now);
+                    if oracle.ambiguous() {
+                        // A tied maximum: both must still mitigate *some*
+                        // maximal row now, but may disagree on which.
+                        prop_assert_eq!(b.is_some(), expected.is_some());
+                        break;
+                    }
+                    prop_assert!(b == expected, "summary RFM diverged at {i} (unambiguous): {b:?} vs {expected:?}");
+                }
             }
         }
     }
 
-    /// (b) The Misra-Gries error bound holds for both engines on any stream,
-    /// ties included: a row's true weight since its last mitigation never
-    /// exceeds its tracked counter (or, if untracked, the spillover count), and
-    /// the spillover count never exceeds N/k.
+    /// (b) The Misra-Gries error bound holds for the summary Graphene on any
+    /// stream, ties included: a row's true weight since its last mitigation
+    /// never exceeds its tracked counter (or, if untracked, the spillover
+    /// count), and the spillover count never exceeds the total weight.
     #[test]
     fn graphene_error_bound_holds_for_both_engines(
         seed in 0u64..1_000_000,
@@ -434,44 +222,41 @@ proptest! {
             entries,
             frac_bits,
         };
-        for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-            let mut tracker = Graphene::with_engine(config.clone(), engine);
-            let mut truth = TrueWeights::default();
-            let universe = (entries as u32).saturating_mul(4).max(64);
-            for (i, (row, eact, reset)) in
-                stream(seed, 2_000, 12, universe).into_iter().enumerate()
-            {
-                let now = i as u64 * 128;
-                if reset {
-                    tracker.on_refresh_window(now);
-                    truth.reset();
-                }
-                let mitigation = tracker.record(row, eact, now);
-                truth.record(row, quantize(eact, frac_bits));
-                if mitigation.is_some() {
-                    truth.mitigated(row);
-                }
-                let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
-                prop_assert!(
-                    truth.per_row[&row] <= est,
-                    "{engine}: row {row} true weight {} exceeds estimate {} at {i}",
-                    truth.per_row[&row], est
-                );
-                prop_assert!(
-                    tracker.spillover_raw() <= truth.total,
-                    "{engine}: spillover {} exceeds total recorded weight {} at {i}",
-                    tracker.spillover_raw(), truth.total
-                );
+        let mut tracker = Graphene::new(config);
+        let mut truth = TrueWeights::default();
+        let universe = (entries as u32).saturating_mul(4).max(64);
+        for (i, (row, eact, reset)) in stream(seed, 2_000, 12, universe).into_iter().enumerate() {
+            let now = i as u64 * 128;
+            if reset {
+                tracker.on_refresh_window(now);
+                truth.reset();
             }
-            // Final sweep: the bound holds for every row, not just the last touched.
-            for (&row, &true_raw) in &truth.per_row {
-                let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
-                prop_assert!(true_raw <= est, "{engine}: final bound broken for row {row}");
+            let mitigation = tracker.record(row, eact, now);
+            truth.record(row, quantize(eact, frac_bits));
+            if mitigation.is_some() {
+                truth.mitigated(row);
             }
+            let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
+            prop_assert!(
+                truth.per_row[&row] <= est,
+                "row {row} true weight {} exceeds estimate {} at {i}",
+                truth.per_row[&row], est
+            );
+            prop_assert!(
+                tracker.spillover_raw() <= truth.total,
+                "spillover {} exceeds total recorded weight {} at {i}",
+                tracker.spillover_raw(), truth.total
+            );
+        }
+        // Final sweep: the bound holds for every row, not just the last touched.
+        for (&row, &true_raw) in &truth.per_row {
+            let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
+            prop_assert!(true_raw <= est, "final bound broken for row {row}");
         }
     }
 
-    /// (b) The same error bound for Mithril, with RFM roll-backs in the stream.
+    /// (b) The same error bound for the summary Mithril, with RFM roll-backs in
+    /// the stream.
     #[test]
     fn mithril_error_bound_holds_for_both_engines(
         seed in 0u64..1_000_000,
@@ -484,41 +269,37 @@ proptest! {
             entries,
             frac_bits,
         };
-        for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-            let mut tracker = Mithril::with_engine(config.clone(), engine);
-            let mut truth = TrueWeights::default();
-            let universe = (entries as u32).saturating_mul(4).max(64);
-            for (i, (row, eact, reset)) in
-                stream(seed, 2_000, 12, universe).into_iter().enumerate()
-            {
-                let now = i as u64 * 128;
-                if reset {
-                    tracker.on_refresh_window(now);
-                    truth.reset();
-                }
-                prop_assert_eq!(tracker.record(row, eact, now), None);
-                truth.record(row, quantize(eact, frac_bits));
-                if i % 80 == 79 {
-                    if let Some(m) = tracker.on_rfm(now) {
-                        truth.mitigated(m.aggressor);
-                    }
-                }
-                let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
-                prop_assert!(
-                    truth.per_row[&row] <= est,
-                    "{engine}: row {row} true weight {} exceeds estimate {} at {i}",
-                    truth.per_row[&row], est
-                );
-                prop_assert!(
-                    tracker.spillover_raw() <= truth.total,
-                    "{engine}: spillover {} exceeds total recorded weight {} at {i}",
-                    tracker.spillover_raw(), truth.total
-                );
+        let mut tracker = Mithril::new(config);
+        let mut truth = TrueWeights::default();
+        let universe = (entries as u32).saturating_mul(4).max(64);
+        for (i, (row, eact, reset)) in stream(seed, 2_000, 12, universe).into_iter().enumerate() {
+            let now = i as u64 * 128;
+            if reset {
+                tracker.on_refresh_window(now);
+                truth.reset();
             }
-            for (&row, &true_raw) in &truth.per_row {
-                let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
-                prop_assert!(true_raw <= est, "{engine}: final bound broken for row {row}");
+            prop_assert_eq!(tracker.record(row, eact, now), None);
+            truth.record(row, quantize(eact, frac_bits));
+            if i % 80 == 79 {
+                if let Some(m) = tracker.on_rfm(now) {
+                    truth.mitigated(m.aggressor);
+                }
             }
+            let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
+            prop_assert!(
+                truth.per_row[&row] <= est,
+                "row {row} true weight {} exceeds estimate {} at {i}",
+                truth.per_row[&row], est
+            );
+            prop_assert!(
+                tracker.spillover_raw() <= truth.total,
+                "spillover {} exceeds total recorded weight {} at {i}",
+                tracker.spillover_raw(), truth.total
+            );
+        }
+        for (&row, &true_raw) in &truth.per_row {
+            let est = tracker.tracked_raw(row).unwrap_or_else(|| tracker.spillover_raw());
+            prop_assert!(true_raw <= est, "final bound broken for row {row}");
         }
     }
 
@@ -537,42 +318,40 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let universe = (entries as u32).saturating_mul(4).max(64);
-        let accesses: Vec<RowId> = (0..2_000).map(|_| rng.gen_range(0..universe)).collect();
-        for engine in [EvictionEngine::Scan, EvictionEngine::Summary] {
-            let graphene_config = GrapheneConfig {
-                threshold: 3_000,
-                internal_threshold: 1_000,
-                entries,
-                frac_bits: 0,
-            };
-            let mut graphene = Graphene::with_engine(graphene_config, engine);
-            let mithril_config = MithrilConfig {
-                threshold: 4_000,
-                rfm_threshold: 80,
-                entries,
-                frac_bits: 0,
-            };
-            let mut mithril = Mithril::with_engine(mithril_config, engine);
-            let mut total = 0u64;
-            for (i, &row) in accesses.iter().enumerate() {
-                let now = i as u64 * 128;
-                graphene.record(row, Eact::ONE, now);
-                mithril.record(row, Eact::ONE, now);
-                if i % 80 == 79 {
-                    mithril.on_rfm(now);
-                }
-                total += u64::from(Eact::ONE.raw());
-                prop_assert!(
-                    graphene.spillover_raw() * entries as u64 <= total,
-                    "{engine}: Graphene spillover {} exceeds N/k = {}/{entries} at {i}",
-                    graphene.spillover_raw(), total
-                );
-                prop_assert!(
-                    mithril.spillover_raw() * entries as u64 <= total,
-                    "{engine}: Mithril spillover {} exceeds N/k = {}/{entries} at {i}",
-                    mithril.spillover_raw(), total
-                );
+        let graphene_config = GrapheneConfig {
+            threshold: 3_000,
+            internal_threshold: 1_000,
+            entries,
+            frac_bits: 0,
+        };
+        let mut graphene = Graphene::new(graphene_config);
+        let mithril_config = MithrilConfig {
+            threshold: 4_000,
+            rfm_threshold: 80,
+            entries,
+            frac_bits: 0,
+        };
+        let mut mithril = Mithril::new(mithril_config);
+        let mut total = 0u64;
+        for i in 0..2_000u64 {
+            let row = rng.gen_range(0..universe);
+            let now = i * 128;
+            graphene.record(row, Eact::ONE, now);
+            mithril.record(row, Eact::ONE, now);
+            if i % 80 == 79 {
+                mithril.on_rfm(now);
             }
+            total += u64::from(Eact::ONE.raw());
+            prop_assert!(
+                graphene.spillover_raw() * entries as u64 <= total,
+                "Graphene spillover {} exceeds N/k = {}/{entries} at {i}",
+                graphene.spillover_raw(), total
+            );
+            prop_assert!(
+                mithril.spillover_raw() * entries as u64 <= total,
+                "Mithril spillover {} exceeds N/k = {}/{entries} at {i}",
+                mithril.spillover_raw(), total
+            );
         }
     }
 
@@ -650,4 +429,100 @@ proptest! {
             }
         }
     }
+}
+
+/// The summary Graphene stays in lockstep with the seed on streams whose
+/// eviction choices are always unambiguous. Two such shapes: a hot set that
+/// fits the table (no evictions, but mitigations and roll-backs), and a
+/// single-entry table (every eviction has exactly one candidate) under heavy
+/// churn with spillover growth — a table size property (a) never draws.
+#[test]
+fn graphene_matches_seed_on_unambiguous_streams() {
+    let lockstep = |entries: usize, rows: u32| {
+        let config = GrapheneConfig {
+            threshold: 3_000,
+            internal_threshold: 100,
+            entries,
+            frac_bits: 7,
+        };
+        let mut oracle = SeedGraphene::new(config.clone());
+        let mut summary = Graphene::new(config);
+        let mut mitigations = 0u64;
+        for i in 0..40_000u64 {
+            let row = (i % u64::from(rows)) as RowId;
+            let eact = Eact::from_f64(1.0 + (row as f64) / 8.0, 7);
+            let expected = oracle.record(row, eact, i * 128);
+            assert!(!oracle.ambiguous(), "entries={entries}: ambiguous at {i}");
+            assert_eq!(
+                summary.record(row, eact, i * 128),
+                expected,
+                "entries={entries}: diverged at record {i}"
+            );
+            mitigations += u64::from(expected.is_some());
+        }
+        assert_eq!(summary.mitigations(), mitigations);
+        assert!(mitigations > 0, "entries={entries}: stream too tame");
+        assert_eq!(summary.spillover_raw(), oracle.spillover_raw());
+        for row in 0..rows {
+            assert_eq!(
+                summary.tracked_raw(row),
+                oracle.tracked_raw(row),
+                "entries={entries} row {row}"
+            );
+        }
+    };
+    lockstep(8, 8); // matches + mitigation roll-backs, no eviction
+    lockstep(1, 5); // forced (unique-candidate) evictions + spillover growth
+}
+
+/// The summary Mithril stays in lockstep with the seed (records and RFM
+/// mitigations) on two fixed streams: a hot set that fits the table with
+/// distinct per-row weights (no eviction; RFM maxima occasionally tie, and the
+/// summary picks the seed's row on this stream), and a single-entry table
+/// where every eviction and every RFM has exactly one candidate.
+#[test]
+fn mithril_matches_seed_on_unambiguous_streams() {
+    let lockstep = |entries: usize, rows: u32| {
+        let config = MithrilConfig {
+            threshold: 4_000,
+            rfm_threshold: 80,
+            entries,
+            frac_bits: 7,
+        };
+        let mut oracle = SeedMithril::new(config.clone());
+        let mut summary = Mithril::new(config);
+        let mut mitigations = 0u64;
+        for i in 0..40_000u64 {
+            let row = (i % u64::from(rows)) as RowId;
+            // Distinct per-row weights keep tracked counts unique.
+            let eact = Eact::from_f64(1.0 + (row as f64) / 8.0, 7);
+            assert_eq!(
+                summary.record(row, eact, i * 128),
+                oracle.record(row, eact, i * 128),
+                "entries={entries}: diverged at record {i}"
+            );
+            assert!(!oracle.ambiguous(), "entries={entries}: ambiguous at {i}");
+            if i % 80 == 79 {
+                let expected = oracle.on_rfm(i * 128);
+                assert_eq!(
+                    summary.on_rfm(i * 128),
+                    expected,
+                    "entries={entries}: RFM {i}"
+                );
+                mitigations += u64::from(expected.is_some());
+            }
+        }
+        assert_eq!(summary.mitigations(), mitigations);
+        assert!(mitigations > 0, "entries={entries}: stream too tame");
+        assert_eq!(summary.spillover_raw(), oracle.spillover_raw());
+        for row in 0..rows {
+            assert_eq!(
+                summary.tracked_raw(row),
+                oracle.tracked_raw(row),
+                "entries={entries} row {row}"
+            );
+        }
+    };
+    lockstep(8, 8); // matches + RFM roll-backs, no eviction
+    lockstep(1, 5); // forced (unique-candidate) evictions + spillover growth
 }

@@ -1,25 +1,33 @@
-//! Security-harness A/B gate for the stream-summary eviction engine.
+//! Security-harness gate for the stream-summary trackers against the seed.
 //!
 //! The tracker-level contract (same mitigations while victim choices are
 //! unambiguous, Misra-Gries no-undercount bound always) is property-tested in
-//! `impress-trackers`. This suite closes the loop end-to-end: replay adversarial
-//! churn and randomized streams through the full defense stack
-//! ([`SecurityHarness`] with the CLM as ground truth) under both eviction
-//! engines, each pinned explicitly, and require that the **maximum unmitigated
-//! disturbance under the summary engine never exceeds the seed (scan)
-//! engine's** — i.e. relaxing bit-identical victim selection to observational
-//! equivalence gives up nothing measurable on the streams that maximize
-//! evictions.
+//! `impress-trackers` against the seed transcription in
+//! `crates/trackers/tests/support/seed.rs`. This suite closes the loop
+//! end-to-end: replay adversarial churn and randomized streams through the full
+//! defense stack ([`SecurityHarness`] with the CLM as ground truth) once with
+//! the shipping tracker and once with the seed's, sized alike, and require that
+//! the **maximum unmitigated disturbance under the summary trackers never
+//! exceeds the seed's** — i.e. relaxing bit-identical victim selection to
+//! observational equivalence gives up nothing measurable on the streams that
+//! maximize evictions.
+
+#[path = "../crates/trackers/tests/support/seed.rs"]
+mod seed;
 
 use impress_repro::attacks::{
     AttackPattern, RotatingAggressorPattern, RowhammerPattern, ThresholdStraddlingPattern,
 };
 use impress_repro::core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
 use impress_repro::core::security::{AggressorAccess, SecurityHarness};
-use impress_repro::core::{Alpha, EvictionEngine};
+use impress_repro::core::Alpha;
 use impress_repro::dram::DramTimings;
+use impress_repro::trackers::graphene::GrapheneConfig;
+use impress_repro::trackers::mithril::MithrilConfig;
+use impress_repro::trackers::RowTracker;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use seed::{SeedGraphene, SeedMithril};
 
 /// Configurations whose counter trackers have an eviction path to exercise.
 fn counter_configs() -> Vec<(&'static str, ProtectionConfig)> {
@@ -54,7 +62,35 @@ fn counter_configs() -> Vec<(&'static str, ProtectionConfig)> {
     ]
 }
 
-/// Replays `accesses` through a scan/summary harness pair and asserts the gate.
+/// Two harnesses for `config`: `(seed, summary)`, the first around the seed's
+/// tracker sized exactly as [`ProtectionConfig::build_tracker`] sizes the
+/// shipping one, the second around the shipping tracker.
+fn harness_pair(
+    config: &ProtectionConfig,
+    timings: &DramTimings,
+) -> (SecurityHarness, SecurityHarness) {
+    let threshold = config.effective_tracker_threshold(timings);
+    let frac_bits = config.defense.tracker_frac_bits();
+    let seed: Box<dyn RowTracker> = match config.tracker {
+        TrackerChoice::Graphene => {
+            let mut sizing = GrapheneConfig::for_threshold(threshold);
+            sizing.frac_bits = frac_bits;
+            Box::new(SeedGraphene::new(sizing))
+        }
+        TrackerChoice::Mithril => Box::new(SeedMithril::new(
+            MithrilConfig::with_rfm_threshold(threshold, config.rfm_threshold)
+                .with_frac_bits(frac_bits),
+        )),
+        other => panic!("{other:?} keeps no Misra-Gries table"),
+    };
+    assert_eq!(seed.storage(), config.build_tracker(timings).storage());
+    (
+        SecurityHarness::with_tracker(config, seed, 1.0, timings),
+        SecurityHarness::new(config, 1.0, timings),
+    )
+}
+
+/// Replays `accesses` through a seed/summary harness pair and asserts the gate.
 fn assert_summary_no_worse(
     label: &str,
     config: &ProtectionConfig,
@@ -62,21 +98,21 @@ fn assert_summary_no_worse(
     expect_contained: bool,
 ) {
     let timings = DramTimings::ddr5();
-    let (mut scan, mut summary) = SecurityHarness::eviction_engine_pair(config, 1.0, &timings);
-    let scan_report = scan.run(accesses.iter().copied(), u64::MAX);
+    let (mut seed, mut summary) = harness_pair(config, &timings);
+    let seed_report = seed.run(accesses.iter().copied(), u64::MAX);
     let summary_report = summary.run(accesses.iter().copied(), u64::MAX);
     assert!(
-        summary_report.max_unmitigated_charge <= scan_report.max_unmitigated_charge + 1e-9,
-        "{label}: summary engine leaked more ({} > {})",
+        summary_report.max_unmitigated_charge <= seed_report.max_unmitigated_charge + 1e-9,
+        "{label}: summary tracker leaked more than the seed's ({} > {})",
         summary_report.max_unmitigated_charge,
-        scan_report.max_unmitigated_charge,
+        seed_report.max_unmitigated_charge,
     );
     if expect_contained {
         assert!(
-            !scan_report.bit_flipped() && !summary_report.bit_flipped(),
+            !seed_report.bit_flipped() && !summary_report.bit_flipped(),
             "{label}: churn stream should stay far below the threshold \
-             (scan {}, summary {})",
-            scan_report.max_unmitigated_charge,
+             (seed {}, summary {})",
+            seed_report.max_unmitigated_charge,
             summary_report.max_unmitigated_charge,
         );
     }
@@ -120,12 +156,12 @@ fn threshold_straddling_churn_summary_no_worse_than_scan() {
 #[test]
 fn randomized_churn_streams_summary_no_worse_than_scan() {
     // Security is a worst-case-over-streams property: the attacker picks the
-    // stream, not the tie-break. On any *single* random stream the engines'
-    // tied-victim choices are symmetric noise (either may come out a charge
-    // unit or two ahead, far below the threshold), so the gate compares each
-    // engine's worst disturbance over the whole randomized stream set — the
-    // quantity the threshold argument actually bounds. Every stream is still
-    // individually required to stay contained under both engines.
+    // stream, not the tie-break. On any *single* random stream the two
+    // trackers' tied-victim choices are symmetric noise (either may come out a
+    // charge unit or two ahead, far below the threshold), so the gate compares
+    // each tracker's worst disturbance over the whole randomized stream set —
+    // the quantity the threshold argument actually bounds. Every stream is
+    // still individually required to stay contained under both.
     let timings = DramTimings::ddr5();
     let streams: Vec<Vec<AggressorAccess>> = [
         0xA11CE5u64,
@@ -152,39 +188,39 @@ fn randomized_churn_streams_summary_no_worse_than_scan() {
     })
     .collect();
     for (label, config) in counter_configs() {
-        let mut worst_scan = 0.0f64;
+        let mut worst_seed = 0.0f64;
         let mut worst_summary = 0.0f64;
         for accesses in &streams {
-            let (mut scan, mut summary) =
-                SecurityHarness::eviction_engine_pair(&config, 1.0, &timings);
-            let a = scan.run(accesses.iter().copied(), u64::MAX);
+            let (mut seed, mut summary) = harness_pair(&config, &timings);
+            let a = seed.run(accesses.iter().copied(), u64::MAX);
             let b = summary.run(accesses.iter().copied(), u64::MAX);
             assert!(
                 !a.bit_flipped() && !b.bit_flipped(),
-                "{label}: randomized churn must stay contained under both engines"
+                "{label}: randomized churn must stay contained under both trackers"
             );
-            worst_scan = worst_scan.max(a.max_unmitigated_charge);
+            worst_seed = worst_seed.max(a.max_unmitigated_charge);
             worst_summary = worst_summary.max(b.max_unmitigated_charge);
         }
         assert!(
-            worst_summary <= worst_scan + 1e-9,
-            "{label}: summary engine's worst-case disturbance over the randomized \
-             stream set exceeds the scan engine's ({worst_summary} > {worst_scan})"
+            worst_summary <= worst_seed + 1e-9,
+            "{label}: summary tracker's worst-case disturbance over the randomized \
+             stream set exceeds the seed's ({worst_summary} > {worst_seed})"
         );
     }
 }
 
 #[test]
 fn single_aggressor_streams_are_bitwise_identical_across_engines() {
-    // With no evictions the engines are in exact lockstep, so the whole report
-    // (charge, mitigations, durations) matches bit for bit — the conditional
-    // half of the observational-equivalence contract at system level.
+    // With no evictions the summary trackers and the seed's are in exact
+    // lockstep, so the whole report (charge, mitigations, durations) matches
+    // bit for bit — the conditional half of the observational-equivalence
+    // contract at system level.
     let timings = DramTimings::ddr5();
     let pattern = RowhammerPattern::new(1_000);
     let accesses = pattern.accesses(30_000);
     for (label, config) in counter_configs() {
-        let (mut scan, mut summary) = SecurityHarness::eviction_engine_pair(&config, 1.0, &timings);
-        let a = scan.run(accesses.iter().copied(), u64::MAX);
+        let (mut seed, mut summary) = harness_pair(&config, &timings);
+        let a = seed.run(accesses.iter().copied(), u64::MAX);
         let b = summary.run(accesses.iter().copied(), u64::MAX);
         assert_eq!(a, b, "{label}");
         assert_eq!(
@@ -192,17 +228,5 @@ fn single_aggressor_streams_are_bitwise_identical_across_engines() {
             b.max_unmitigated_charge.to_bits(),
             "{label}"
         );
-    }
-}
-
-#[test]
-fn default_and_pinning_are_wired() {
-    // Configurations default to the summary engine, and pinning overrides the
-    // default in both directions.
-    assert_eq!(EvictionEngine::default(), EvictionEngine::Summary);
-    let cfg = ProtectionConfig::paper_default(TrackerChoice::Graphene, DefenseKind::NoRp);
-    assert_eq!(cfg.eviction, EvictionEngine::Summary);
-    for pinned in [EvictionEngine::Scan, EvictionEngine::Summary] {
-        assert_eq!(cfg.clone().with_eviction_engine(pinned).eviction, pinned);
     }
 }

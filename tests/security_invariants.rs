@@ -4,32 +4,24 @@
 use impress_repro::attacks::{AttackPattern, CombinedPattern, RowPressPattern, RowhammerPattern};
 use impress_repro::core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
 use impress_repro::core::security::{SecurityHarness, SecurityReport};
-use impress_repro::core::{Alpha, EvictionEngine};
+use impress_repro::core::Alpha;
 use impress_repro::dram::DramTimings;
 
-/// Replays `pattern` once per counter-tracker eviction engine — the summary
-/// default and the scan reference, pinned explicitly — so every claim below
-/// holds under both (only Graphene and Mithril read the engine).
+/// Replays `rounds` of `pattern` against `tracker` + `defense` at threshold
+/// `trh`, with the CLM at α = 1 as ground truth.
 fn run_attack(
     tracker: TrackerChoice,
     defense: DefenseKind,
     trh: u64,
     pattern: &dyn AttackPattern,
     rounds: u64,
-) -> Vec<(EvictionEngine, SecurityReport)> {
+) -> SecurityReport {
     let timings = DramTimings::ddr5();
-    [EvictionEngine::Summary, EvictionEngine::Scan]
-        .into_iter()
-        .map(|engine| {
-            let config = ProtectionConfig {
-                rowhammer_threshold: trh,
-                ..ProtectionConfig::paper_default(tracker, defense)
-            }
-            .with_eviction_engine(engine);
-            let mut harness = SecurityHarness::new(&config, 1.0, &timings);
-            (engine, harness.run(pattern.accesses(rounds), u64::MAX))
-        })
-        .collect()
+    let config = ProtectionConfig {
+        rowhammer_threshold: trh,
+        ..ProtectionConfig::paper_default(tracker, defense)
+    };
+    SecurityHarness::new(&config, 1.0, &timings).run(pattern.accesses(rounds), u64::MAX)
 }
 
 #[test]
@@ -42,13 +34,12 @@ fn rowhammer_is_contained_by_every_tracker_without_rp_mitigation() {
         (TrackerChoice::Mint, 1_600),
         (TrackerChoice::Prac, 4_000),
     ] {
-        for (engine, report) in run_attack(tracker, DefenseKind::NoRp, trh, &pattern, 60_000) {
-            assert!(
-                !report.bit_flipped(),
-                "{tracker:?}/{engine} should contain plain Rowhammer (charge {})",
-                report.max_unmitigated_charge
-            );
-        }
+        let report = run_attack(tracker, DefenseKind::NoRp, trh, &pattern, 60_000);
+        assert!(
+            !report.bit_flipped(),
+            "{tracker:?} should contain plain Rowhammer (charge {})",
+            report.max_unmitigated_charge
+        );
     }
 }
 
@@ -61,12 +52,11 @@ fn rowpress_breaks_unmitigated_trackers() {
     let timings = DramTimings::ddr5();
     let pattern = RowPressPattern::new(1_000, timings.t_refi);
     for tracker in [TrackerChoice::Graphene, TrackerChoice::Para] {
-        for (engine, report) in run_attack(tracker, DefenseKind::NoRp, 4_000, &pattern, 2_000) {
-            assert!(
-                report.bit_flipped(),
-                "Row-Press should defeat {tracker:?}/{engine} without RP mitigation"
-            );
-        }
+        let report = run_attack(tracker, DefenseKind::NoRp, 4_000, &pattern, 2_000);
+        assert!(
+            report.bit_flipped(),
+            "Row-Press should defeat {tracker:?} without RP mitigation"
+        );
     }
 }
 
@@ -86,20 +76,19 @@ fn impress_p_restores_protection_for_all_trackers() {
         (TrackerChoice::Mint, 1_600),
     ] {
         for pattern in &patterns {
-            for (engine, report) in run_attack(
+            let report = run_attack(
                 tracker,
                 DefenseKind::impress_p_default(),
                 trh,
                 pattern.as_ref(),
                 30_000,
-            ) {
-                assert!(
-                    !report.bit_flipped(),
-                    "{tracker:?}/{engine} + ImPress-P should contain {} (charge {})",
-                    pattern.name(),
-                    report.max_unmitigated_charge
-                );
-            }
+            );
+            assert!(
+                !report.bit_flipped(),
+                "{tracker:?} + ImPress-P should contain {} (charge {})",
+                pattern.name(),
+                report.max_unmitigated_charge
+            );
         }
     }
 }
@@ -112,7 +101,7 @@ fn impress_n_with_alpha_one_contains_rowpress_for_in_dram_trackers() {
         (TrackerChoice::Mithril, 4_000),
         (TrackerChoice::Mint, 1_600),
     ] {
-        for (engine, report) in run_attack(
+        let report = run_attack(
             tracker,
             DefenseKind::ImpressN {
                 alpha: Alpha::Conservative,
@@ -120,13 +109,12 @@ fn impress_n_with_alpha_one_contains_rowpress_for_in_dram_trackers() {
             trh,
             &pattern,
             30_000,
-        ) {
-            assert!(
-                !report.bit_flipped(),
-                "{tracker:?}/{engine} + ImPress-N should contain maximal Row-Press (charge {})",
-                report.max_unmitigated_charge
-            );
-        }
+        );
+        assert!(
+            !report.bit_flipped(),
+            "{tracker:?} + ImPress-N should contain maximal Row-Press (charge {})",
+            report.max_unmitigated_charge
+        );
     }
 }
 
@@ -163,10 +151,8 @@ fn impress_p_never_tolerates_less_than_no_rp_under_rowhammer() {
         &pattern,
         40_000,
     );
-    for ((engine, no_rp), (_, impress_p)) in no_rp.iter().zip(&impress_p) {
-        assert_eq!(
-            no_rp.max_unmitigated_charge, impress_p.max_unmitigated_charge,
-            "ImPress-P must not change pure-Rowhammer accounting ({engine})"
-        );
-    }
+    assert_eq!(
+        no_rp.max_unmitigated_charge, impress_p.max_unmitigated_charge,
+        "ImPress-P must not change pure-Rowhammer accounting"
+    );
 }

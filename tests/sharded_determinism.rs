@@ -1,32 +1,28 @@
 //! End-to-end determinism gate for the epoch-phased sharded run loop, mirroring
 //! `tests/parallel_determinism.rs` (which gates the *sweep-level* axis).
 //!
-//! Three properties are pinned:
+//! Two properties are pinned:
 //!
-//! 1. **Serial fidelity** — `System::run` (the epoch-phased loop) is bit-for-bit
-//!    identical to the pre-shard serial loop: one `while` over the global
-//!    minimum-issue-time core, one `MemoryController::access_physical` call per
-//!    request. The reference below is a literal transcription of that loop built
-//!    from the same public pieces (`CoreModel`, `WorkloadMix`, `MemoryController`).
-//! 2. **Thread-count invariance** — `System::run_with_threads(n)` produces identical
-//!    output for every `n`, including configurations where shards carry
-//!    defense/tracker state and the system has more channels than the baseline.
-//! 3. **Horizon-mode invariance** — the adaptive (dependency-bounded) issue window
-//!    and the fixed (minimum-access-latency) window replay the same serial issue
-//!    schedule, so `run_with_horizon` output is identical across both modes and
-//!    every thread count — pinned both on named configurations and on a seeded
-//!    randomized sweep over workload mixes × channel counts × protection ×
-//!    thread counts, whose odd cases pin the linear-scan eviction engine.
+//! 1. **Serial fidelity** — `System::run` (the epoch-phased loop with its
+//!    dependency-bounded issue window) is bit-for-bit identical to the
+//!    pre-shard serial loop: one `while` over the global minimum-issue-time
+//!    core, one `MemoryController::access_physical` call per request. The
+//!    reference below is a literal transcription of that loop built from the
+//!    same public pieces (`CoreModel`, `WorkloadMix`, `MemoryController`).
+//! 2. **Thread-count invariance** — `System::run_with_threads(n)` produces
+//!    identical output for every `n`, including configurations where shards
+//!    carry defense/tracker state and the system has more channels than the
+//!    baseline.
+//!
+//! Both are pinned on named configurations and on a seeded randomized sweep
+//! over workload mixes × channel counts × protection × thread counts.
 
 use impress_repro::core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
-use impress_repro::core::EvictionEngine;
 use impress_repro::dram::energy::EnergyModel;
 use impress_repro::dram::organization::DramOrganization;
 use impress_repro::dram::stats::ChannelStats;
 use impress_repro::memctrl::{ControllerConfig, MemoryController};
-use impress_repro::sim::{
-    Configuration, CoreModel, ExperimentRunner, HorizonMode, System, SystemConfig,
-};
+use impress_repro::sim::{Configuration, CoreModel, ExperimentRunner, System, SystemConfig};
 use impress_repro::workloads::WorkloadMix;
 
 /// What a run observably produces; everything compared bit-for-bit.
@@ -158,27 +154,25 @@ fn epoch_phased_run_reproduces_the_serial_reference_exactly() {
             let mix = || WorkloadMix::by_name(workload, 11).unwrap();
             let cfg = || system_config(controller.clone(), 1_500);
             let reference = reference_serial_run(cfg(), mix());
-            for mode in [HorizonMode::Fixed, HorizonMode::Adaptive] {
-                for threads in [1usize, 2, 4, 8] {
-                    let out = System::new(cfg(), mix()).run_with_horizon(threads, mode);
-                    assert_eq!(
-                        Observed::of(&out),
-                        reference,
-                        "{label}/{workload} diverged from the serial reference at \
-                         {threads} shard threads in {mode:?} horizon mode"
-                    );
-                }
+            for threads in [1usize, 2, 4, 8] {
+                let out = System::new(cfg(), mix()).run_with_threads(threads);
+                assert_eq!(
+                    Observed::of(&out),
+                    reference,
+                    "{label}/{workload} diverged from the serial reference at \
+                     {threads} shard threads"
+                );
             }
         }
     }
 }
 
-/// Seeded randomized sweep of the third property: for random (workload, channel
-/// count, protection, request quota) draws, the adaptive-horizon loop, the
-/// fixed-window loop and the literal serial transcription agree bit-for-bit at
-/// 1/2/4/8 shard threads. The vendored `proptest` stand-in pins each property at
-/// 256 cases — far too many full-system runs — so this drives the same
-/// generate-and-check shape from an explicit deterministic RNG.
+/// Seeded randomized sweep of both properties: for random (workload, channel
+/// count, protection, request quota) draws, the epoch-phased loop and the
+/// literal serial transcription agree bit-for-bit at 1/2/4/8 shard threads.
+/// The vendored `proptest` stand-in pins each property at 256 cases — far too
+/// many full-system runs — so this drives the same generate-and-check shape
+/// from an explicit deterministic RNG.
 #[test]
 fn random_mixes_agree_across_serial_fixed_and_adaptive_horizons() {
     use rand::rngs::SmallRng;
@@ -206,36 +200,27 @@ fn random_mixes_agree_across_serial_fixed_and_adaptive_horizons() {
             },
             ..ControllerConfig::baseline()
         };
-        // Odd cases pin the seed's linear-scan eviction engine, so the loop's
-        // bit-identity is checked under both engines without extra draws.
-        let engine = if case % 2 == 1 {
-            EvictionEngine::Scan
-        } else {
-            EvictionEngine::Summary
-        };
         if let Some(tracker) = tracker {
-            controller = controller.with_protection(
-                ProtectionConfig::paper_default(tracker, DefenseKind::impress_p_default())
-                    .with_eviction_engine(engine),
-            );
+            controller = controller.with_protection(ProtectionConfig::paper_default(
+                tracker,
+                DefenseKind::impress_p_default(),
+            ));
         }
         let label = format!(
-            "case {case}: {workload} x{channels}ch tracker={tracker:?} engine={engine} \
+            "case {case}: {workload} x{channels}ch tracker={tracker:?} \
              requests={requests} seed={seed}"
         );
 
         let mix = || WorkloadMix::by_name(workload, seed).unwrap();
         let cfg = || system_config(controller.clone(), requests);
         let reference = reference_serial_run(cfg(), mix());
-        for mode in [HorizonMode::Fixed, HorizonMode::Adaptive] {
-            for threads in [1usize, 2, 4, 8] {
-                let out = System::new(cfg(), mix()).run_with_horizon(threads, mode);
-                assert_eq!(
-                    Observed::of(&out),
-                    reference,
-                    "{label} diverged at {threads} threads in {mode:?} mode"
-                );
-            }
+        for threads in [1usize, 2, 4, 8] {
+            let out = System::new(cfg(), mix()).run_with_threads(threads);
+            assert_eq!(
+                Observed::of(&out),
+                reference,
+                "{label} diverged at {threads} threads"
+            );
         }
     }
 }
