@@ -8,8 +8,7 @@
 //! performance to memory latency and bandwidth (which is what the paper's figures
 //! normalize away) is captured.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use impress_dram::timing::Cycle;
 
@@ -30,7 +29,24 @@ pub enum IssueBound {
     NotBefore(Cycle),
 }
 
+/// `x.ceil() as Cycle` for every `f64`, including negatives, NaN, ±∞ and values
+/// ≥ 2^64. Written without `f64::ceil` because the x86-64 baseline target has no
+/// rounding instruction, so `ceil` is an out-of-line libm call on the issue path.
+#[inline]
+fn ceil_cycle(x: f64) -> Cycle {
+    let t = x as Cycle;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// The state of one simulated core.
+///
+/// Every query the system loop makes is constant work: the MLP window is a small
+/// array sorted so its oldest completion is last, and the front-end cycle and the
+/// minimum pending bound are cached where they change.
 #[derive(Debug)]
 pub struct CoreModel {
     id: usize,
@@ -38,8 +54,10 @@ pub struct CoreModel {
     think_gap: f64,
     /// Maximum outstanding misses.
     mlp: usize,
-    /// Completion times of outstanding misses whose completions are known.
-    outstanding: BinaryHeap<Reverse<Cycle>>,
+    /// Completion times of outstanding misses whose completions are known, sorted
+    /// in descending order: the oldest completion is `last()`, so retiring pops
+    /// from the end and insertion shifts at most `mlp` entries.
+    outstanding: Vec<Cycle>,
     /// Completion-time lower bounds of misses issued in the current epoch whose
     /// completion times are not yet known (epoch-phased mode): they occupy MLP
     /// window slots but are not in `outstanding`. Front = oldest pending issue
@@ -47,8 +65,13 @@ pub struct CoreModel {
     /// driver derives each from the target channel's bus conveyor, so a later
     /// issue to an idle channel can carry a smaller bound).
     pending_lbs: VecDeque<Cycle>,
+    /// Minimum of `pending_lbs` (`Cycle::MAX` when empty); `None` once a
+    /// resolution may have removed it, until the next rescan.
+    pending_min: Option<Cycle>,
     /// Cycle at which the core's front-end is ready to issue its next miss.
     front_end_ready: f64,
+    /// `front_end_ready` rounded up to a whole cycle.
+    front_end_cycle: Cycle,
     /// Number of misses issued so far.
     issued: u64,
     /// Completion time of the latest miss to retire.
@@ -68,9 +91,11 @@ impl CoreModel {
             id,
             think_gap,
             mlp,
-            outstanding: BinaryHeap::new(),
-            pending_lbs: VecDeque::new(),
+            outstanding: Vec::with_capacity(mlp),
+            pending_lbs: VecDeque::with_capacity(mlp),
+            pending_min: Some(Cycle::MAX),
             front_end_ready: 0.0,
+            front_end_cycle: 0,
             issued: 0,
             last_completion: 0,
         }
@@ -90,35 +115,58 @@ impl CoreModel {
     /// must be ready, and if the MLP window is full the oldest outstanding miss must
     /// retire first.
     pub fn next_issue_time(&self) -> Cycle {
-        let front_end = self.front_end_ready.ceil() as Cycle;
         if self.outstanding.len() >= self.mlp {
-            let oldest = self.outstanding.peek().map(|Reverse(t)| *t).unwrap_or(0);
-            front_end.max(oldest)
+            let oldest = self.outstanding.last().copied().unwrap_or(0);
+            self.front_end_cycle.max(oldest)
         } else {
-            front_end
+            self.front_end_cycle
         }
     }
 
     /// Records that a miss was issued at `now` and will complete at `completes_at`.
     pub fn on_issue(&mut self, now: Cycle, completes_at: Cycle) {
-        // Retire everything that has completed by now.
-        while let Some(Reverse(t)) = self.outstanding.peek() {
-            if *t <= now {
-                self.outstanding.pop();
-            } else {
-                break;
-            }
-        }
-        self.outstanding.push(Reverse(completes_at));
+        self.retire_through(now);
+        self.insert_outstanding(completes_at);
         self.issued += 1;
         self.last_completion = self.last_completion.max(completes_at);
-        self.front_end_ready = (now as f64).max(self.front_end_ready) + self.think_gap;
+        self.advance_front_end(now);
     }
 
     /// The cycle at which this core finishes all the work it has issued.
     pub fn finish_time(&self) -> Cycle {
-        self.last_completion
-            .max(self.front_end_ready.ceil() as Cycle)
+        self.last_completion.max(self.front_end_cycle)
+    }
+
+    /// Retires every outstanding miss that has completed by `now`.
+    #[inline]
+    fn retire_through(&mut self, now: Cycle) {
+        while let Some(&t) = self.outstanding.last() {
+            if t > now {
+                break;
+            }
+            self.outstanding.pop();
+        }
+    }
+
+    /// Inserts a completion into the descending window by shifting the smaller
+    /// entries one slot towards the end.
+    #[inline]
+    fn insert_outstanding(&mut self, completes_at: Cycle) {
+        self.outstanding.push(completes_at);
+        let window = self.outstanding.as_mut_slice();
+        let mut i = window.len() - 1;
+        while i > 0 && window[i - 1] < completes_at {
+            window[i] = window[i - 1];
+            i -= 1;
+        }
+        window[i] = completes_at;
+    }
+
+    /// Moves the front end past an issue at `now`.
+    #[inline]
+    fn advance_front_end(&mut self, now: Cycle) {
+        self.front_end_ready = (now as f64).max(self.front_end_ready) + self.think_gap;
+        self.front_end_cycle = ceil_cycle(self.front_end_ready);
     }
 
     // ---- Epoch-phased (sharded) issue API -------------------------------------
@@ -135,9 +183,19 @@ impl CoreModel {
     }
 
     /// The minimum completion-time lower bound over the pending issues
-    /// (`Cycle::MAX` with no pending issues). The window is at most `mlp` entries,
-    /// so the scan is a handful of compares.
+    /// (`Cycle::MAX` with no pending issues). Cached; after a resolution that
+    /// leaves issues pending, reads rescan them until the next pending issue
+    /// refreshes the cache.
+    #[inline]
     pub fn pending_completion_lower_bound(&self) -> Cycle {
+        match self.pending_min {
+            Some(min) => min,
+            None => self.rescan_pending_min(),
+        }
+    }
+
+    #[cold]
+    fn rescan_pending_min(&self) -> Cycle {
         self.pending_lbs.iter().copied().min().unwrap_or(Cycle::MAX)
     }
 
@@ -162,16 +220,15 @@ impl CoreModel {
     /// * **otherwise** the oldest completion may be one of the pending ones:
     ///   unknown, but provably at or after `max(front_end, min pending bound)` —
     ///   the epoch loop uses this cycle to bound its issue horizon.
+    #[inline]
     pub fn next_issue_bound(&self) -> IssueBound {
-        let front_end = self.front_end_ready.ceil() as Cycle;
+        let front_end = self.front_end_cycle;
         if self.outstanding.len() + self.pending_lbs.len() < self.mlp {
             return IssueBound::Exact(front_end);
         }
         let pending_lb = self.pending_completion_lower_bound();
-        match self.outstanding.peek() {
-            Some(Reverse(oldest)) if *oldest <= pending_lb => {
-                IssueBound::Exact(front_end.max(*oldest))
-            }
+        match self.outstanding.last() {
+            Some(&oldest) if oldest <= pending_lb => IssueBound::Exact(front_end.max(oldest)),
             _ => IssueBound::NotBefore(front_end.max(pending_lb)),
         }
     }
@@ -189,21 +246,17 @@ impl CoreModel {
     ///
     /// In debug builds, panics if `completion_lb <= now` (an access can never
     /// complete at or before its own issue cycle).
+    #[inline]
     pub fn on_issue_pending(&mut self, now: Cycle, completion_lb: Cycle) {
         debug_assert!(
             completion_lb > now,
             "completion lower bound {completion_lb} not after issue time {now}"
         );
-        while let Some(Reverse(t)) = self.outstanding.peek() {
-            if *t <= now {
-                self.outstanding.pop();
-            } else {
-                break;
-            }
-        }
+        self.retire_through(now);
+        self.pending_min = Some(self.pending_completion_lower_bound().min(completion_lb));
         self.pending_lbs.push_back(completion_lb);
         self.issued += 1;
-        self.front_end_ready = (now as f64).max(self.front_end_ready) + self.think_gap;
+        self.advance_front_end(now);
     }
 
     /// Resolves the completion time of one pending issue (in issue order).
@@ -212,6 +265,7 @@ impl CoreModel {
     ///
     /// Panics if there is no pending issue to resolve; in debug builds, panics if
     /// the completion beats the lower bound it was registered with.
+    #[inline]
     pub fn resolve_pending(&mut self, completes_at: Cycle) {
         let lb = self
             .pending_lbs
@@ -221,15 +275,55 @@ impl CoreModel {
             completes_at >= lb,
             "completion {completes_at} beats its registered lower bound {lb}"
         );
-        self.outstanding.push(Reverse(completes_at));
+        // The removed bound may have been the minimum; the system loop resolves
+        // every pending issue at each barrier, so the rescan stays off its path.
+        self.pending_min = if self.pending_lbs.is_empty() {
+            Some(Cycle::MAX)
+        } else {
+            None
+        };
+        self.insert_outstanding(completes_at);
         self.last_completion = self.last_completion.max(completes_at);
     }
 }
 
 #[cfg(test)]
+mod heap_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::heap_oracle::HeapCoreModel;
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn ceil_cycle_matches_f64_ceil() {
+        let two = 2.0f64;
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            two.powi(52) + 0.5,
+            two.powi(52) - 0.5,
+            two.powi(53),
+            two.powi(63),
+            two.powi(64),
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            subnormal,
+        ] {
+            assert_eq!(ceil_cycle(x), x.ceil() as Cycle, "x = {x:e}");
+        }
+    }
 
     #[test]
     fn issues_are_spaced_by_think_gap_when_unconstrained() {
@@ -498,6 +592,68 @@ mod tests {
             prop_assert_eq!(&times, &serial_times);
             prop_assert_eq!(core.finish_time(), serial.finish_time());
             prop_assert_eq!(core.pending(), 0);
+        }
+
+        /// The sorted window and the cached front-end cycle and pending minimum
+        /// answer every query exactly as the heap-window model did, over random
+        /// sequences of issues, pending issues and in-order resolutions. Resolves
+        /// interleaved with issues leave the pending minimum stale, a path the
+        /// system loop (which resolves everything at each barrier) never takes.
+        #[test]
+        fn matches_the_heap_window_model(
+            seed in 0u64..u64::MAX,
+            mlp in 1usize..=16,
+            think_gap in 0.0f64..200.0,
+            resolve_weight in 1u32..8,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut core = CoreModel::new(0, think_gap, mlp);
+            let mut oracle = HeapCoreModel::new(think_gap, mlp);
+            // Completion lower bounds of the pending issues, in issue order.
+            let mut bounds = std::collections::VecDeque::new();
+            let mut clock: Cycle = 0;
+            for step in 0..300 {
+                let op = rng.gen_range(0..8u32);
+                if op < resolve_weight && !bounds.is_empty() {
+                    let lb: Cycle = bounds.pop_front().unwrap();
+                    let completes_at = lb + rng.gen_range(0..200u64);
+                    core.resolve_pending(completes_at);
+                    oracle.resolve_pending(completes_at);
+                } else {
+                    // Issue at the core's own next issue time or at a later cycle.
+                    if rng.gen_bool(0.5) {
+                        clock = clock.max(oracle.next_issue_time());
+                    } else {
+                        clock += rng.gen_range(0..60u64);
+                    }
+                    let latency = 1 + rng.gen_range(0..250u64);
+                    if rng.gen_bool(0.75) {
+                        core.on_issue_pending(clock, clock + latency);
+                        oracle.on_issue_pending(clock, clock + latency);
+                        bounds.push_back(clock + latency);
+                    } else {
+                        core.on_issue(clock, clock + latency);
+                        oracle.on_issue(clock, clock + latency);
+                    }
+                }
+                let observed = (
+                    core.next_issue_time(),
+                    core.next_issue_bound(),
+                    core.pending_completion_lower_bound(),
+                    core.finish_time(),
+                    core.issued(),
+                    core.pending(),
+                );
+                let expected = (
+                    oracle.next_issue_time(),
+                    oracle.next_issue_bound(),
+                    oracle.pending_completion_lower_bound(),
+                    oracle.finish_time(),
+                    oracle.issued(),
+                    oracle.pending(),
+                );
+                prop_assert!(observed == expected, "step {step}: {observed:?} != {expected:?}");
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. **Issue** — replay the serial scheduler exactly: repeatedly pick the
 //!    lowest-numbered core with the minimal provably-exact next issue time (a
-//!    heap-based ready queue ordered by `(cycle, core)` — see
+//!    scan of a flat per-core ready array, ties to the lowest core id — see
 //!    [`crate::CoreModel::next_issue_bound`]), draw its next access from the
 //!    workload mix, decode the address and append it to the owning channel's queue.
 //!    The global issue order is recorded.

@@ -7,9 +7,6 @@
 //! epoch barrier (merge phase). The output is bit-for-bit identical for any thread
 //! count, and identical to the pre-shard serial loop.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use impress_dram::energy::{EnergyBreakdown, EnergyModel};
 use impress_dram::stats::ChannelStats;
 use impress_dram::timing::Cycle;
@@ -116,6 +113,10 @@ impl<S: AccessSource> System<S> {
     /// issue phase replays the serial scheduler exactly, shards share no state,
     /// and the merge phase resolves completions in global issue order. See
     /// [`crate::sharded`] for the argument.
+    ///
+    /// Each issue costs one O(cores) scan of a flat ready array for the next
+    /// issuer (8 entries for every [`WorkloadMix`]) and constant work in the
+    /// core model.
     pub fn run_with_threads(self, threads: usize) -> RunOutput {
         let System {
             config,
@@ -153,11 +154,12 @@ impl<S: AccessSource> System<S> {
                     (0..channels).map(|_| Vec::new()).collect();
                 let mut completions: Vec<Vec<u64>> = (0..channels).map(|_| Vec::new()).collect();
                 let mut cursors: Vec<usize> = vec![0; channels];
-                // Ready queue: cores whose next issue time is provably exact,
-                // ordered by (cycle, core id) — exactly the serial scheduler's
-                // pick-the-minimum-then-lowest-core rule, O(log cores) per issue
-                // instead of the old O(cores) rescan.
-                let mut ready: BinaryHeap<Reverse<(Cycle, usize)>> = BinaryHeap::new();
+                // Ready set, indexed by core id: each core's next issue time while
+                // it is provably exact, `Cycle::MAX` while it is deferred or done.
+                // The next issuer is the minimum over an O(cores) scan with ties
+                // to the lowest core id — the serial scheduler's
+                // pick-the-minimum-then-lowest-core rule.
+                let mut ready: Vec<Cycle> = vec![Cycle::MAX; cores_ref.len()];
                 // Last known completion per channel, feeding the bus-conveyor
                 // completion lower bound: the k-th access queued on a channel this
                 // epoch cannot complete before `last + k * bus_spacing`
@@ -170,37 +172,34 @@ impl<S: AccessSource> System<S> {
                 while remaining > 0 {
                     // ---- Barrier state: every prior completion is resolved, so
                     // every eligible core's next issue time is exact.
-                    ready.clear();
                     let mut horizon = Cycle::MAX;
-                    for core in cores_ref.iter() {
-                        if core.issued() >= quota {
-                            continue;
-                        }
-                        match core.next_issue_bound() {
-                            IssueBound::Exact(t) => ready.push(Reverse((t, core.id()))),
-                            IssueBound::NotBefore(_) => {
-                                unreachable!("a core cannot have pending issues at a barrier")
+                    for (slot, core) in ready.iter_mut().zip(cores_ref.iter()) {
+                        *slot = if core.issued() >= quota {
+                            Cycle::MAX
+                        } else {
+                            match core.next_issue_bound() {
+                                IssueBound::Exact(t) => t,
+                                IssueBound::NotBefore(_) => {
+                                    unreachable!("a core cannot have pending issues at a barrier")
+                                }
                             }
-                        }
+                        };
                     }
-                    let epoch_start = ready
-                        .peek()
-                        .map(|Reverse((t, _))| *t)
-                        .expect("remaining > 0 implies an eligible core");
+                    let (epoch_start, _) =
+                        earliest_ready(&ready).expect("remaining > 0 implies an eligible core");
 
                     // ---- Issue phase: replay the serial scheduler inside the
-                    // (dependency-bounded) window. A core leaves the ready queue
+                    // (dependency-bounded) window. A core leaves the ready set
                     // when it issues and re-enters with its new exact time, or
                     // lowers the horizon to its pending-completion bound when its
                     // next issue is no longer provable — the epoch ends when the
                     // earliest ready issue reaches the horizon.
                     let mut last_issue = epoch_start;
                     order.clear();
-                    while let Some(&Reverse((now, core_id))) = ready.peek() {
+                    while let Some((now, core_id)) = earliest_ready(&ready) {
                         if now >= horizon {
                             break;
                         }
-                        ready.pop();
                         let access = mix_ref.next_access(core_id);
                         let location = decoder
                             .decode(access.address)
@@ -220,12 +219,17 @@ impl<S: AccessSource> System<S> {
                         let core = &mut cores_ref[core_id];
                         core.on_issue_pending(now, (now + min_latency).max(conveyor));
                         remaining -= 1;
-                        if core.issued() < quota {
+                        ready[core_id] = if core.issued() >= quota {
+                            Cycle::MAX
+                        } else {
                             match core.next_issue_bound() {
-                                IssueBound::Exact(t) => ready.push(Reverse((t, core_id))),
-                                IssueBound::NotBefore(bound) => horizon = horizon.min(bound),
+                                IssueBound::Exact(t) => t,
+                                IssueBound::NotBefore(bound) => {
+                                    horizon = horizon.min(bound);
+                                    Cycle::MAX
+                                }
                             }
-                        }
+                        };
                     }
                     debug_assert!(!order.is_empty(), "every epoch issues at least once");
                     epoch_stats_ref.epochs += 1;
@@ -304,6 +308,20 @@ impl<S: AccessSource> System<S> {
             epoch_stats,
         }
     }
+}
+
+/// The ready core with the smallest `(cycle, core id)`, or `None` when no core
+/// is ready (every entry `Cycle::MAX`). The strict `<` of the ascending scan
+/// keeps the lowest core id among equal cycles.
+#[inline]
+fn earliest_ready(ready: &[Cycle]) -> Option<(Cycle, usize)> {
+    let mut best = (Cycle::MAX, 0);
+    for (core_id, &t) in ready.iter().enumerate() {
+        if t < best.0 {
+            best = (t, core_id);
+        }
+    }
+    (best.0 < Cycle::MAX).then_some(best)
 }
 
 #[cfg(test)]

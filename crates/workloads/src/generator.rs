@@ -84,16 +84,28 @@ impl TraceGenerator {
     }
 
     /// Generates the next access.
+    #[inline]
     pub fn next_access(&mut self) -> MemoryAccess {
+        // The stream index and every cursor are always in range, so each steps
+        // by compare-and-wrap instead of a division.
         let stream = self.next_stream;
-        self.next_stream = (self.next_stream + 1) % self.cursors.len();
+        self.next_stream = if stream + 1 == self.cursors.len() {
+            0
+        } else {
+            stream + 1
+        };
 
         let stream_base = self.base + stream as u64 * self.lines_per_stream * 64;
         let address = PhysicalAddress::new(stream_base + self.cursors[stream] * 64);
         let is_write = self.rng.gen_bool(self.write_fraction);
         // Decide where this stream's next access goes.
         if self.rng.gen_bool(self.continue_probability) {
-            self.cursors[stream] = (self.cursors[stream] + 1) % self.lines_per_stream;
+            let next = self.cursors[stream] + 1;
+            self.cursors[stream] = if next == self.lines_per_stream {
+                0
+            } else {
+                next
+            };
         } else {
             self.cursors[stream] = self.rng.gen_range(0..self.lines_per_stream);
         }

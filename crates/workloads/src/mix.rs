@@ -112,6 +112,7 @@ impl WorkloadMix {
     }
 
     /// Generates the next access for `core`.
+    #[inline]
     pub fn next_access(&mut self, core: usize) -> MemoryAccess {
         self.generators[core].next_access()
     }

@@ -14,16 +14,19 @@
 //!    carry defense/tracker state and the system has more channels than the
 //!    baseline.
 //!
-//! Both are pinned on named configurations and on a seeded randomized sweep
-//! over workload mixes × channel counts × protection × thread counts.
+//! Both are pinned on named configurations, on a seeded randomized sweep
+//! over workload mixes × channel counts × protection × thread counts, and on
+//! trace replays at 1, 3 and 16 cores (every `WorkloadMix` has 8).
 
 use impress_repro::core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
 use impress_repro::dram::energy::EnergyModel;
 use impress_repro::dram::organization::DramOrganization;
 use impress_repro::dram::stats::ChannelStats;
 use impress_repro::memctrl::{ControllerConfig, MemoryController};
-use impress_repro::sim::{Configuration, CoreModel, ExperimentRunner, System, SystemConfig};
-use impress_repro::workloads::WorkloadMix;
+use impress_repro::sim::{
+    Configuration, CoreModel, ExperimentRunner, ReplaySource, System, SystemConfig,
+};
+use impress_repro::workloads::{AccessSource, TraceMeta, TraceRecord, WorkloadMix};
 
 /// What a run observably produces; everything compared bit-for-bit.
 #[derive(Debug, PartialEq)]
@@ -52,7 +55,7 @@ impl Observed {
 
 /// A literal transcription of the pre-shard serial `System::run` loop (PR 2 state):
 /// the reference the epoch-phased loop must reproduce exactly.
-fn reference_serial_run(config: SystemConfig, mut mix: WorkloadMix) -> Observed {
+fn reference_serial_run<S: AccessSource>(config: SystemConfig, mut mix: S) -> Observed {
     assert_eq!(config.cores, mix.cores());
     let mut cores: Vec<CoreModel> = (0..config.cores)
         .map(|i| {
@@ -221,6 +224,59 @@ fn random_mixes_agree_across_serial_fixed_and_adaptive_horizons() {
                 reference,
                 "{label} diverged at {threads} threads"
             );
+        }
+    }
+}
+
+/// A replay source of `per_core` recorded accesses on each of `cores` cores.
+/// Core `c` replays core `c % 8` of `workload`'s mix at seed `seed + c / 8`,
+/// so cores 8–15 come from a second seed's mix.
+fn replay_source(workload: &str, seed: u64, cores: usize, per_core: usize) -> ReplaySource {
+    let mut mixes: Vec<WorkloadMix> = (0..cores.div_ceil(8) as u64)
+        .map(|k| WorkloadMix::by_name(workload, seed + k).unwrap())
+        .collect();
+    let meta = TraceMeta {
+        name: format!("{workload}-{cores}-cores"),
+        cores: cores as u8,
+        has_gaps: false,
+        instructions_per_miss: (0..cores)
+            .map(|c| mixes[c / 8].instructions_per_miss(c % 8))
+            .collect(),
+    };
+    let mut records = Vec::with_capacity(cores * per_core);
+    for _ in 0..per_core {
+        for c in 0..cores {
+            let mut access = mixes[c / 8].next_access(c % 8);
+            access.core = c as u8;
+            records.push(TraceRecord::from_access(access, 0));
+        }
+    }
+    ReplaySource::new(&meta, &records)
+}
+
+/// Core counts no `WorkloadMix` produces: closed-loop replays of 1-, 3- and
+/// 16-core traces agree bit-for-bit with the serial reference (ties between
+/// cores go to the lowest core id in both) at 1, 2 and 4 shard threads.
+#[test]
+fn replays_at_other_core_counts_reproduce_the_serial_reference() {
+    let per_core = 1_200;
+    for (workload, cores) in [("mcf", 1), ("copy", 3), ("add_copy", 16)] {
+        for (label, controller) in controller_configs() {
+            let cfg = || SystemConfig {
+                cores,
+                ..system_config(controller.clone(), per_core as u64)
+            };
+            let source = || replay_source(workload, 41, cores, per_core);
+            let reference = reference_serial_run(cfg(), source());
+            for threads in [1usize, 2, 4] {
+                let out = System::new(cfg(), source()).run_with_threads(threads);
+                assert_eq!(
+                    Observed::of(&out),
+                    reference,
+                    "{label}/{workload} on {cores} cores diverged from the serial \
+                     reference at {threads} shard threads"
+                );
+            }
         }
     }
 }
