@@ -191,92 +191,11 @@ fn bench_eviction_churn(c: &mut Criterion) {
     group.finish();
 }
 
-/// Splitmix64 step; deterministic stand-in for a uniform-random row stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Before/after pairs for the PR 8 batched record kernels: one
-/// `record_batch` call over a 1024-event span vs the same span fed through
-/// `record` one event at a time, for the three table trackers, on the two
-/// stream shapes that bracket the kernels' behaviour — a hot same-row-burst
-/// stream (runs of 16 activations per row over a small hot set, the
-/// RowPress-typical shape run-length aggregation exploits) and a
-/// uniform-random stream over a row space larger than any table (no runs,
-/// pure eviction churn, the kernels' worst case).
-fn bench_record_batch(c: &mut Criterion) {
-    const SPAN: usize = 1024;
-
-    // Hot same-row-burst: runs of 16 consecutive activations per row, rows
-    // cycling through a 128-row hot set (smaller than every table).
-    let burst: Vec<u32> = (0..SPAN).map(|i| ((i / 16) % 128) as u32).collect();
-    // Uniform-random over 64K rows: larger than any table, so nearly every
-    // record takes the insert/evict path and runs have length 1.
-    let mut state = 0x5eed_u64;
-    let uniform: Vec<u32> = (0..SPAN)
-        .map(|_| (splitmix64(&mut state) % (1 << 16)) as u32)
-        .collect();
-
-    let eacts = vec![Eact::from_f64(1.5, 7); SPAN];
-    let streams: [(&str, &[u32]); 2] = [("burst", &burst), ("uniform", &uniform)];
-
-    type MakeTracker = fn() -> Box<dyn RowTracker>;
-    let mut group = c.benchmark_group("tracker_record");
-    let make: [(&str, MakeTracker); 3] = [
-        ("graphene", || Box::new(Graphene::for_threshold(4_000))),
-        ("mithril", || Box::new(Mithril::for_threshold(4_000))),
-        ("prac", || Box::new(Prac::for_threshold(4_000, 7, 1 << 16))),
-    ];
-    for (tracker_name, new_tracker) in make {
-        for (stream_name, rows) in streams {
-            let mut per_record = new_tracker();
-            group.bench_with_input(
-                BenchmarkId::new(&format!("per_record_{tracker_name}"), stream_name),
-                rows,
-                |b, rows| {
-                    let mut now = 0u64;
-                    b.iter(|| {
-                        now += (SPAN as u64) * 128;
-                        let mut mitigations = 0usize;
-                        for (i, &row) in rows.iter().enumerate() {
-                            if per_record.record(row, eacts[i], now).is_some() {
-                                mitigations += 1;
-                            }
-                        }
-                        black_box(mitigations)
-                    });
-                },
-            );
-            let mut batched = new_tracker();
-            let mut out = Vec::new();
-            group.bench_with_input(
-                BenchmarkId::new(&format!("batched_{tracker_name}"), stream_name),
-                rows,
-                |b, rows| {
-                    let mut now = 0u64;
-                    b.iter(|| {
-                        now += (SPAN as u64) * 128;
-                        out.clear();
-                        batched.record_batch(rows, &eacts, now, &mut out);
-                        black_box(out.len())
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_trackers,
     bench_prac_table,
     bench_graphene_scan,
-    bench_eviction_churn,
-    bench_record_batch
+    bench_eviction_churn
 );
 criterion_main!(benches);

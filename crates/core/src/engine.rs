@@ -46,9 +46,9 @@ pub struct BankMitigationEngine {
     /// Reusable scratch for the defense's tracked-activation events, so the
     /// per-activation path performs no allocation in steady state.
     event_buf: Vec<TrackedActivation>,
-    /// Whether tracked events are staged and flushed through the tracker's
-    /// batched record kernel (observationally identical to per-record; see
-    /// [`BankMitigationEngine::set_record_batching`]).
+    /// Whether tracked events are staged and flushed through
+    /// [`RowTracker::record_batch`] (observationally identical to per-record;
+    /// see [`BankMitigationEngine::enable_record_batching`]).
     batching: bool,
     /// Cached [`RowTracker::mitigates_on_rfm`]: RFM/REF commands only flush
     /// staged events (and dispatch to the tracker) when the tracker acts under
@@ -60,20 +60,14 @@ pub struct BankMitigationEngine {
     /// upper bound on its quantized weight; when it runs out the staged span is
     /// flushed and the triggering event takes the exact per-record path.
     headroom_left: u64,
-    /// Staged events, packed row+weight. One append stream per bank keeps the
-    /// per-event staging cost to a single cache line of data movement; the
-    /// parallel `rows`/`eacts` slices [`RowTracker::record_batch`] takes are
-    /// split off into the scratch arrays below at flush time (sequential,
-    /// amortized over the whole span).
+    /// Staged events, packed row+weight: one append stream per bank, handed
+    /// to [`RowTracker::record_batch`] as it is at flush time.
     staged: Vec<(RowId, Eact)>,
     /// Timestamp of the most recently staged event. A staged span is provably
     /// mitigation-free, so its shared flush timestamp is unobservable and the
     /// last one staged is as good as any; no per-event timestamps are kept.
     last_staged_now: Cycle,
-    /// Flush-time scratch for the split parallel arrays.
-    scratch_rows: Vec<RowId>,
-    scratch_eacts: Vec<Eact>,
-    /// Scratch for batch-kernel output. Staged spans are provably
+    /// Scratch for the flush's output. Staged spans are provably
     /// mitigation-free, so this stays empty; it exists to satisfy the
     /// `record_batch` signature (and to catch invariant violations in debug).
     staged_out: Vec<MitigationRequest>,
@@ -127,8 +121,6 @@ impl BankMitigationEngine {
             headroom_left: 0,
             staged: Vec::new(),
             last_staged_now: 0,
-            scratch_rows: Vec::new(),
-            scratch_eacts: Vec::new(),
             staged_out: Vec::new(),
         }
     }
@@ -153,30 +145,25 @@ impl BankMitigationEngine {
         self.tracker.as_ref()
     }
 
-    /// Enables or disables the bank-batched record path.
+    /// Turns on staged recording.
     ///
-    /// When enabled, tracked events whose weight provably cannot trigger a
-    /// mitigation (per the tracker's [`RowTracker::headroom`] contract) are
-    /// staged in SoA buffers and flushed through [`RowTracker::record_batch`]
-    /// at refresh-window crossings, RFM commands, headroom exhaustion or
-    /// capacity. Events that could mitigate take the exact per-record path, so
-    /// mitigation emission order, tracker state and all statistics are
-    /// identical to per-record operation.
-    ///
-    /// Disabling flushes any staged events first.
-    pub fn set_record_batching(&mut self, on: bool) {
-        if !on {
-            self.flush_staged();
-        } else if !self.batching {
+    /// Tracked events whose weight provably cannot trigger a mitigation (per
+    /// the tracker's [`RowTracker::headroom`] contract) are staged and flushed
+    /// through [`RowTracker::record_batch`] at refresh-window crossings, RFM
+    /// commands, headroom exhaustion or capacity. Events that could mitigate
+    /// take the exact per-record path, so mitigation emission order, tracker
+    /// state and all statistics are identical to per-record operation.
+    /// Staging stays on for the engine's lifetime; an engine that should
+    /// record per event never enables it.
+    pub fn enable_record_batching(&mut self) {
+        if !self.batching {
+            self.batching = true;
             self.headroom_left = self.tracker.headroom();
-            if self.staged.capacity() == 0 {
-                self.staged.reserve(STAGE_CAPACITY);
-            }
+            self.staged.reserve(STAGE_CAPACITY);
         }
-        self.batching = on;
     }
 
-    /// Flushes any staged tracked events through the tracker's batch kernel.
+    /// Flushes any staged tracked events through [`RowTracker::record_batch`].
     ///
     /// Called automatically at every point where deferred state could become
     /// observable (refresh windows, RFM, per-record fallbacks); callers only
@@ -189,21 +176,10 @@ impl BankMitigationEngine {
             return;
         }
         // All staged events were admitted under the headroom budget, so the
-        // batch provably emits no mitigations and the shared `now` is
-        // unobservable; split the packed span into the parallel arrays the
-        // batch kernel takes.
-        self.scratch_rows.clear();
-        self.scratch_eacts.clear();
-        self.scratch_rows
-            .extend(self.staged.iter().map(|&(row, _)| row));
-        self.scratch_eacts
-            .extend(self.staged.iter().map(|&(_, eact)| eact));
-        self.tracker.record_batch(
-            &self.scratch_rows,
-            &self.scratch_eacts,
-            self.last_staged_now,
-            &mut self.staged_out,
-        );
+        // span provably emits no mitigations and the shared `now` is
+        // unobservable.
+        self.tracker
+            .record_batch(&self.staged, self.last_staged_now, &mut self.staged_out);
         debug_assert!(
             self.staged_out.is_empty(),
             "staged span emitted a mitigation despite headroom admission"
@@ -486,21 +462,17 @@ mod tests {
         }
     }
 
-    /// Counted window events change nothing an engine reports: one seeded
-    /// stream of activations, closures (pure hammers up to the
-    /// refresh-postponement cap), RFMs and refresh-window crossings yields the
-    /// same mitigations, call by call, and the same [`EngineStats`] as the
-    /// unit-window oracle, for every tracker, with record batching on and off.
-    /// The trackers are small (16 entries against 24 aggressor rows, low
-    /// thresholds), so the stream evicts, spills and mitigates throughout.
-    #[test]
-    fn counted_window_events_match_unit_window_events() {
+    type BuildTracker = fn() -> Box<dyn RowTracker>;
+
+    /// Small trackers (16 entries against the test streams' 24 aggressor
+    /// rows, low thresholds), so a short stream evicts, spills and mitigates
+    /// throughout.
+    fn small_trackers() -> [(&'static str, BuildTracker); 5] {
         use impress_trackers::graphene::GrapheneConfig;
         use impress_trackers::mithril::MithrilConfig;
         use impress_trackers::{Graphene, Mint, Mithril, Para, Prac};
 
-        type Build = fn() -> Box<dyn RowTracker>;
-        let trackers: [(&str, Build); 5] = [
+        [
             ("graphene", || {
                 Box::new(Graphene::new(GrapheneConfig {
                     threshold: 200,
@@ -520,14 +492,26 @@ mod tests {
             }),
             ("mint", || Box::new(Mint::new(16, 0, 7))),
             ("prac", || Box::new(Prac::for_threshold(200, 0, 1 << 16))),
-        ];
+        ]
+    }
+
+    /// Counted window events change nothing an engine reports: one seeded
+    /// stream of activations, closures (pure hammers up to the
+    /// refresh-postponement cap), RFMs and refresh-window crossings yields the
+    /// same mitigations, call by call, and the same [`EngineStats`] as the
+    /// unit-window oracle, for every tracker, with record batching on and off.
+    /// The trackers are [`small_trackers`].
+    #[test]
+    fn counted_window_events_match_unit_window_events() {
         let t = timings();
         let cap = (1 + u64::from(t.max_postponed_ref)) * t.t_refi;
-        for (name, tracker) in trackers {
+        for (name, tracker) in small_trackers() {
             for batching in [false, true] {
                 let engine = |defense: Box<dyn RowPressDefense>| {
                     let mut e = BankMitigationEngine::from_parts(defense, tracker(), &t);
-                    e.set_record_batching(batching);
+                    if batching {
+                        e.enable_record_batching();
+                    }
                     e
                 };
                 let mut counted = engine(Box::new(ImpressN::conservative(&t)));
@@ -575,6 +559,105 @@ mod tests {
                 counted.flush_staged();
                 units.flush_staged();
                 assert_eq!(counted.stats(), units.stats(), "{label}");
+                assert!(mitigations > 0, "{label}: the stream never mitigated");
+            }
+        }
+    }
+
+    /// Staging changes nothing an engine reports or keeps: for every tracker
+    /// under No-RP, ImPress-P and ImPress-N, one seeded stream of activations,
+    /// closures (open times from tRAS up to the refresh-postponement cap), RFMs
+    /// and refresh-window skips yields the same mitigations, call by call, and
+    /// the same [`EngineStats`] with staging on as with it off. Every 500 steps
+    /// and at the end both engines flush, and their trackers' whole state (the
+    /// derived `Debug`: counters, summary order, RNG) must be equal.
+    #[test]
+    fn staged_engine_matches_per_record_engine() {
+        let t = timings();
+        let cap = (1 + u64::from(t.max_postponed_ref)) * t.t_refi;
+        let defenses = [
+            DefenseKind::NoRp,
+            DefenseKind::impress_p_default(),
+            DefenseKind::ImpressN {
+                alpha: Alpha::Conservative,
+            },
+        ];
+        let same_tracker = |a: &BankMitigationEngine, b: &BankMitigationEngine, label: &str| {
+            assert_eq!(
+                format!("{:?}", a.tracker()),
+                format!("{:?}", b.tracker()),
+                "{label}: tracker state"
+            );
+        };
+        for (name, tracker) in small_trackers() {
+            for defense in &defenses {
+                let engine = || BankMitigationEngine::from_parts(defense.build(&t), tracker(), &t);
+                let mut per_record = engine();
+                let mut staged = engine();
+                staged.enable_record_batching();
+                let label = format!("{name} {}", defense.label());
+
+                // xorshift64: a fixed stream without a dev-dependency.
+                let mut state = 0x2545_F491_4F6C_DD1Du64;
+                let mut draw = |n: u64| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state % n
+                };
+                let mut now: Cycle = 0;
+                let mut mitigations = 0usize;
+                let mut staged_steps = 0usize;
+                for step in 0..3_000 {
+                    match draw(200) {
+                        0..=171 => {
+                            // Two in five activations hit one hot row, so it
+                            // crosses the thresholds even without Row-Press weight.
+                            let row = if draw(5) < 2 {
+                                1_000
+                            } else {
+                                1_000 + draw(24) as RowId
+                            };
+                            let t_on = match draw(4) {
+                                0 | 1 => t.t_ras,
+                                2 => t.t_ras + draw(8) * t.t_rc + draw(t.t_rc),
+                                _ => t.t_ras + draw(cap - t.t_ras),
+                            };
+                            let a = staged.on_activate(row, now);
+                            assert_eq!(a, per_record.on_activate(row, now), "{label}: ACT {step}");
+                            let closed = closed(row, now, now + t_on);
+                            let c = staged.on_close(&closed);
+                            assert_eq!(c, per_record.on_close(&closed), "{label}: close {step}");
+                            mitigations += a.len() + c.len();
+                            now = closed.closed_at + t.t_pre;
+                        }
+                        172..=198 => {
+                            let m = staged.on_rfm(now);
+                            assert_eq!(m, per_record.on_rfm(now), "{label}: RFM {step}");
+                            mitigations += usize::from(m.is_some());
+                            now += t.t_rfm;
+                        }
+                        // Skip ahead across a refresh-window boundary.
+                        _ => now += t.t_refw,
+                    }
+                    assert_eq!(staged.stats(), per_record.stats(), "{label}: step {step}");
+                    staged_steps += usize::from(!staged.staged.is_empty());
+                    if step % 500 == 499 {
+                        staged.flush_staged();
+                        per_record.flush_staged();
+                        same_tracker(&staged, &per_record, &format!("{label}: step {step}"));
+                    }
+                }
+                staged.flush_staged();
+                per_record.flush_staged();
+                same_tracker(&staged, &per_record, &label);
+                assert_eq!(staged.stats(), per_record.stats(), "{label}");
+                // PARA's headroom is 0, so none of its events may stage.
+                if name == "para" {
+                    assert_eq!(staged_steps, 0, "{label}: PARA staged an event");
+                } else {
+                    assert!(staged_steps > 0, "{label}: nothing was staged");
+                }
                 assert!(mitigations > 0, "{label}: the stream never mitigated");
             }
         }

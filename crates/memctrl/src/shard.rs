@@ -391,13 +391,12 @@ impl ChannelShard {
         }
     }
 
-    /// Enables or disables the bank-batched tracker record path on every
-    /// protected bank (see [`BankMitigationEngine::set_record_batching`]).
-    /// Disabling flushes any staged events first.
-    pub fn set_record_batching(&mut self, on: bool) {
+    /// Turns on staged tracker recording on every protected bank (see
+    /// [`BankMitigationEngine::enable_record_batching`]).
+    pub fn enable_record_batching(&mut self) {
         for unit in &mut self.banks {
             if let Some(engine) = unit.engine.as_mut() {
-                engine.set_record_batching(on);
+                engine.enable_record_batching();
             }
         }
     }

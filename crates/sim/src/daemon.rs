@@ -251,8 +251,8 @@ pub(crate) fn supervise_with_hook<S: TraceSource>(
 /// After every round (a full batch or the end of a telemetry window) the
 /// reader's decode faults and transport events join the ledger, then a
 /// periodic checkpoint is published if one is due; a stream truncation is
-/// ledgered last. Tracked events stage through the bank-batched record
-/// kernels, whose output is identical to per-record recording.
+/// ledgered last. Tracked events are staged per bank and flushed as spans,
+/// with output identical to per-record recording.
 pub(crate) fn ingest_loop<S: TraceSource>(
     mut reader: TraceReader<S>,
     configuration: &Configuration,
@@ -266,7 +266,7 @@ pub(crate) fn ingest_loop<S: TraceSource>(
     let tasks = make_tasks(shards, min_latency);
     let channels = tasks.len();
     for i in 0..channels {
-        lock_task(&tasks, i).shard.set_record_batching(true);
+        lock_task(&tasks, i).shard.enable_record_batching();
     }
     let decoder = cfg.mapping.decoder(&cfg.organization);
     let has_gaps = reader.meta().has_gaps;

@@ -140,7 +140,7 @@ impl FlatCounterTable {
 
     /// Recomputes [`FlatCounterTable::max_raw`] exactly by scanning the table.
     /// Callers that lower a counter through the raw slot API must call this
-    /// afterwards (batch kernels do it once per batch, after any reset).
+    /// afterwards (PRAC's `record_run` does it once per run, after any reset).
     pub fn recompute_max(&mut self) {
         self.max_raw = self
             .counters
@@ -154,7 +154,7 @@ impl FlatCounterTable {
 
     /// The slot for `row`, inserting it at zero first if absent. The returned
     /// slot stays valid until another row is inserted (same-row operations
-    /// never move it), which is what lets a batch kernel probe once per run.
+    /// never move it), which is what lets a counted run probe once.
     #[inline]
     pub fn slot_of(&mut self, row: RowId) -> usize {
         self.slot_for(row)

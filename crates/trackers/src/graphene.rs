@@ -221,29 +221,22 @@ impl Graphene {
         Some(slot)
     }
 
-    /// Resolves one slot for a run of `len` same-row events, shared by
-    /// [`RowTracker::record_batch`] and [`RowTracker::record_run`]: the match
-    /// path probes the index once; the miss path replays the per-record claim
-    /// attempts, event `k` weighing `eact_at(k)` (each failed attempt spills
-    /// that event's weight, exactly as `record` would, and leaves the index
-    /// untouched — so the miss position from `locate` stays valid across
-    /// attempts and the run still costs a single probe).
+    /// Resolves one slot for [`RowTracker::record_run`]'s `count` events of
+    /// `row`, each weighing the quantized `eact`: the match path probes the
+    /// index once; the miss path replays the per-record claim attempts (each
+    /// failed attempt spills one event's weight, exactly as `record` would,
+    /// and leaves the index untouched — so the miss position from `locate`
+    /// stays valid across attempts and the run still costs a single probe).
     ///
     /// Returns the slot and the number of leading events spilled before it was
     /// claimed (the claiming event is not consumed: its add is the run's
     /// first), or `None` when every event spilled.
-    fn resolve_run_slot(
-        &mut self,
-        row: RowId,
-        len: usize,
-        eact_at: impl Fn(usize) -> Eact,
-    ) -> Option<(usize, usize)> {
+    fn resolve_run_slot(&mut self, row: RowId, count: u32, eact: Eact) -> Option<(usize, u32)> {
         let position = match self.index.locate(row) {
             Ok(slot) => return Some((slot, 0)),
             Err(position) => position,
         };
-        for k in 0..len {
-            let eact = self.quantize(eact_at(k));
+        for k in 0..count {
             if let Some(slot) = self.claim_slot_summary(row, eact, position) {
                 return Some((slot, k));
             }
@@ -329,84 +322,6 @@ impl RowTracker for Graphene {
         mitigation
     }
 
-    fn record_batch(
-        &mut self,
-        rows: &[RowId],
-        eacts: &[Eact],
-        now: Cycle,
-        out: &mut Vec<MitigationRequest>,
-    ) {
-        debug_assert_eq!(rows.len(), eacts.len());
-        let threshold = self.config.internal_threshold;
-        let mut i = 0;
-        while i < rows.len() {
-            let row = rows[i];
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == row {
-                j += 1;
-            }
-            if j < rows.len() {
-                self.index.prefetch(rows[j]);
-            }
-            let run = &eacts[i..j];
-            let Some((slot, spilled)) = self.resolve_run_slot(row, run.len(), |k| run[k]) else {
-                // The entire run went to the spillover counter.
-                i = j;
-                continue;
-            };
-            let run = &run[spilled..];
-
-            // Run-length aggregation: one weighted add when the run cannot
-            // cross the internal threshold, a per-event walk on the resolved
-            // slot (plain u64 arithmetic, no further probes) when it can.
-            let mut sum = 0u64;
-            for &e in run {
-                sum = sum.saturating_add(u64::from(self.quantize(e).raw()));
-            }
-            let start = self.table[slot].count.raw();
-            let end = start.saturating_add(sum);
-            // The summary's count for the slot: the table count on the match
-            // path, the evicted victim's old count on a claim (the claim defers
-            // its splice to `settle_summary`), absent off the free list.
-            let summary_count = self.summary.count_of(slot);
-            // Whether the per-record loop's splices would have moved the slot
-            // between buckets at least once. A moved slot sits at the LIFO head
-            // of its final bucket even when the final count equals the summary's
-            // current one — ties break by this order, so it must be reproduced.
-            let mut moved = false;
-            let final_raw = if (end >> CANONICAL_FRAC_BITS) < threshold {
-                // Counters only grow within a mitigation-free run, so if the
-                // end value stays below the threshold every prefix did too.
-                // Monotone counts mean a position change happens iff the final
-                // count differs from the summary's current one — exactly
-                // `set_count`'s semantics, so `moved` stays false.
-                end
-            } else {
-                // Per-event walk on the resolved slot (plain u64 arithmetic, no
-                // further probes): mitigation roll-backs make the counts
-                // non-monotonic, so several crossings can land inside one run
-                // and the slot can leave its bucket and return to it.
-                let mut raw = start;
-                let mut walk_summary = summary_count.unwrap_or(u64::MAX);
-                for &e in run {
-                    raw = raw.saturating_add(u64::from(self.quantize(e).raw()));
-                    if (raw >> CANONICAL_FRAC_BITS) >= threshold {
-                        raw = self.spillover.raw();
-                        self.push_mitigations(row, now, 1, out);
-                    }
-                    if raw != walk_summary {
-                        walk_summary = raw;
-                        moved = true;
-                    }
-                }
-                raw
-            };
-            self.table[slot].count = EactCounter::from_raw(final_raw);
-            self.settle_summary(slot, summary_count, final_raw, moved);
-            i = j;
-        }
-    }
-
     fn record_run(
         &mut self,
         row: RowId,
@@ -415,14 +330,15 @@ impl RowTracker for Graphene {
         now: Cycle,
         out: &mut Vec<MitigationRequest>,
     ) {
-        let Some((slot, spilled)) = self.resolve_run_slot(row, count as usize, |_| eact) else {
+        let eact = self.quantize(eact);
+        let Some((slot, spilled)) = self.resolve_run_slot(row, count, eact) else {
             return;
         };
         // The events left after the claim replay all land on `slot`, whose
         // counter follows the roll-back-to-spillover rule in closed form (the
         // spillover no longer changes once the slot is resolved).
-        let left = count - spilled as u32;
-        let weight = u64::from(self.quantize(eact).raw());
+        let left = count - spilled;
+        let weight = u64::from(eact.raw());
         let summary_count = self.summary.count_of(slot);
         let run = RolledRun::compute(
             self.table[slot].count.raw(),

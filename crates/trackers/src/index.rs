@@ -92,27 +92,6 @@ impl RowSlotIndex {
         self.cells.len()
     }
 
-    /// Prefetches the probe-start cell for `row` (x86_64; no-op elsewhere).
-    ///
-    /// Batch kernels issue this for the *next* run while the current one is
-    /// processed: the index is the one dependent random access per run, so
-    /// overlapping its cache miss with the current run's counter update is
-    /// most of the batched path's memory-level parallelism.
-    #[inline]
-    pub fn prefetch(&self, row: RowId) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `fib_hash` masks into `cells`' bounds; prefetching any
-        // readable address has no other effect.
-        unsafe {
-            std::arch::x86_64::_mm_prefetch(
-                self.cells.as_ptr().add(fib_hash(row, self.mask())).cast(),
-                std::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = row;
-    }
-
     /// The table slot holding `row`, if the row is currently tracked.
     ///
     /// The sentinel value itself (`RowId::MAX`, unreachable for real DDR5 rows) is

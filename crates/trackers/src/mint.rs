@@ -117,10 +117,6 @@ impl RowTracker for Mint {
         None
     }
 
-    // MINT keeps the default `record_batch` loop: `record` is already a few
-    // register updates (no table, no RNG — randomness is drawn in `on_rfm`),
-    // so there is nothing for run-length aggregation to amortize.
-
     fn record_run(
         &mut self,
         row: RowId,

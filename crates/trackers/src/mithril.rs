@@ -216,31 +216,25 @@ impl Mithril {
         Some(slot)
     }
 
-    /// Resolves one slot for a run of `len` same-row events, shared by
-    /// [`RowTracker::record_batch`] and [`RowTracker::record_run`]. On a miss
-    /// the per-record claim attempts are replayed exactly, event `k` weighing
-    /// `eact_at(k)`: each failed attempt spills that event's weight; the
-    /// claiming attempt installs at spillover + eact, absorbing its own event.
+    /// Resolves one slot for [`RowTracker::record_run`]'s `count` events of
+    /// `row`, each weighing the quantized `eact`. On a miss the per-record
+    /// claim attempts are replayed exactly: each failed attempt spills one
+    /// event's weight; the claiming attempt installs at spillover + eact,
+    /// absorbing its own event.
     ///
     /// Returns the slot and the number of events consumed (spilled or
     /// absorbed by the claim), or `None` when every event spilled.
-    fn resolve_run_slot(
-        &mut self,
-        row: RowId,
-        len: usize,
-        eact_at: impl Fn(usize) -> Eact,
-    ) -> Option<(usize, usize)> {
+    fn resolve_run_slot(&mut self, row: RowId, count: u32, eact: Eact) -> Option<(usize, u32)> {
         // `position` stays valid across failed attempts: a failed claim only
         // grows the spillover counter.
         let position = match self.index.locate(row) {
             Ok(slot) => return Some((slot, 0)),
             Err(position) => position,
         };
-        for k in 0..len {
-            let eact = self.quantize(eact_at(k));
-            let mut count = self.spillover;
-            count.add(eact);
-            if let Some(slot) = self.claim_slot_summary(row, count, position) {
+        for k in 0..count {
+            let mut claimed = self.spillover;
+            claimed.add(eact);
+            if let Some(slot) = self.claim_slot_summary(row, claimed, position) {
                 return Some((slot, k + 1));
             }
             self.spillover.add(eact);
@@ -281,36 +275,6 @@ impl RowTracker for Mithril {
         None
     }
 
-    fn record_batch(
-        &mut self,
-        rows: &[RowId],
-        eacts: &[Eact],
-        _now: Cycle,
-        _out: &mut Vec<MitigationRequest>,
-    ) {
-        debug_assert_eq!(rows.len(), eacts.len());
-        let mut i = 0;
-        while i < rows.len() {
-            let row = rows[i];
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == row {
-                j += 1;
-            }
-            let run = &eacts[i..j];
-            if let Some((slot, consumed)) = self.resolve_run_slot(row, run.len(), |k| run[k]) {
-                // Run-length aggregation of the remaining events: Mithril never
-                // mitigates in `record`, so the whole tail collapses into one
-                // weighted add and one splice.
-                let mut sum = 0u64;
-                for &e in &run[consumed..] {
-                    sum = sum.saturating_add(u64::from(self.quantize(e).raw()));
-                }
-                self.add_to_slot(slot, sum);
-            }
-            i = j;
-        }
-    }
-
     fn record_run(
         &mut self,
         row: RowId,
@@ -319,10 +283,10 @@ impl RowTracker for Mithril {
         _now: Cycle,
         _out: &mut Vec<MitigationRequest>,
     ) {
-        if let Some((slot, consumed)) = self.resolve_run_slot(row, count as usize, |_| eact) {
-            let left = u64::from(count) - consumed as u64;
-            let weight = u64::from(self.quantize(eact).raw());
-            self.add_to_slot(slot, weight.saturating_mul(left));
+        let eact = self.quantize(eact);
+        if let Some((slot, consumed)) = self.resolve_run_slot(row, count, eact) {
+            let left = u64::from(count - consumed);
+            self.add_to_slot(slot, u64::from(eact.raw()).saturating_mul(left));
         }
     }
 

@@ -83,31 +83,6 @@ impl RowTracker for Para {
         }
     }
 
-    fn record_batch(
-        &mut self,
-        rows: &[RowId],
-        eacts: &[Eact],
-        now: Cycle,
-        out: &mut Vec<MitigationRequest>,
-    ) {
-        debug_assert_eq!(rows.len(), eacts.len());
-        // No run-length aggregation is possible here: every record consumes
-        // one RNG draw, and collapsing a run would change the RNG stream (and
-        // thus every subsequent decision). The batch form is exactly the
-        // per-record loop, inlined.
-        for (&row, &eact) in rows.iter().zip(eacts) {
-            self.decisions += 1;
-            let p = eact.scale_probability(self.probability);
-            if self.rng.gen_bool(p) {
-                self.mitigations += 1;
-                out.push(MitigationRequest {
-                    aggressor: row,
-                    identified_at: now,
-                });
-            }
-        }
-    }
-
     fn record_run(
         &mut self,
         row: RowId,

@@ -88,61 +88,6 @@ impl RowTracker for Prac {
         }
     }
 
-    fn record_batch(
-        &mut self,
-        rows: &[RowId],
-        eacts: &[Eact],
-        now: Cycle,
-        out: &mut Vec<MitigationRequest>,
-    ) {
-        debug_assert_eq!(rows.len(), eacts.len());
-        let alert = self.alert_threshold;
-        let mut i = 0;
-        while i < rows.len() {
-            let row = rows[i];
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == row {
-                j += 1;
-            }
-            // One probe per run: same-row adds never grow the table, so the
-            // slot stays valid for the whole run.
-            let slot = self.counters.slot_of(row);
-            let start = self.counters.counter_raw_at(slot);
-            let mut sum = 0u64;
-            for &e in &eacts[i..j] {
-                sum = sum.saturating_add(u64::from(self.quantize(e).raw()));
-            }
-            let end = start.saturating_add(sum);
-            if (end >> CANONICAL_FRAC_BITS) < alert {
-                // No crossing possible: one weighted add covers the run.
-                self.counters.set_counter_raw_at(slot, end);
-            } else {
-                // Walk the run per event (plain u64 arithmetic on the resolved
-                // slot): the counter resets to zero at each alert, so several
-                // crossings can land inside one run.
-                let mut raw = start;
-                let mut any_reset = false;
-                for &e in &eacts[i..j] {
-                    raw = raw.saturating_add(u64::from(self.quantize(e).raw()));
-                    if (raw >> CANONICAL_FRAC_BITS) >= alert {
-                        raw = 0;
-                        any_reset = true;
-                        self.mitigations += 1;
-                        out.push(MitigationRequest {
-                            aggressor: row,
-                            identified_at: now,
-                        });
-                    }
-                }
-                self.counters.set_counter_raw_at(slot, raw);
-                if any_reset {
-                    self.counters.recompute_max();
-                }
-            }
-            i = j;
-        }
-    }
-
     fn record_run(
         &mut self,
         row: RowId,

@@ -117,30 +117,20 @@ pub trait RowTracker: fmt::Debug + Send {
     /// immediately (memory-controller trackers only).
     fn record(&mut self, row: RowId, eact: Eact, now: Cycle) -> Option<MitigationRequest>;
 
-    /// Records a batch of activations in stream order, appending any mitigation
-    /// requests to `out`.
+    /// Records a span of `(row, eact)` events in stream order, all at `now`,
+    /// appending any mitigation requests to `out`.
     ///
-    /// `rows` and `eacts` are parallel arrays; every event shares the single
-    /// timestamp `now` (batch callers stage events and flush them together, so
-    /// the per-event timestamps have already collapsed to one value by the time
-    /// the tracker sees them). The contract is *semantic equivalence to the
-    /// per-record loop*: the mitigation sequence appended to `out` and the
-    /// tracker state afterwards must be identical to calling
-    /// [`RowTracker::record`] once per event with the same `now`.
-    ///
-    /// Specialized implementations exploit the batch shape — run-length
-    /// aggregating consecutive same-row events into one weighted counter
-    /// update with a single row→slot probe — but may never reorder events
-    /// across distinct rows (Misra-Gries claim/eviction decisions depend on
-    /// the interleaving).
+    /// This is the per-record loop, and no tracker overrides it. It exists for
+    /// callers holding a `dyn RowTracker`, such as the engine flushing a staged
+    /// span: they make one virtual call per span, and the loop's `record`
+    /// calls are statically dispatched.
     fn record_batch(
         &mut self,
-        rows: &[RowId],
-        eacts: &[Eact],
+        events: &[(RowId, Eact)],
         now: Cycle,
         out: &mut Vec<MitigationRequest>,
     ) {
-        for (&row, &eact) in rows.iter().zip(eacts) {
+        for &(row, eact) in events {
             if let Some(m) = self.record(row, eact, now) {
                 out.push(m);
             }
@@ -164,7 +154,7 @@ pub trait RowTracker: fmt::Debug + Send {
     /// probability once and draws inline instead of making an out-of-line
     /// `record` call per activation. Graphene and Mithril first replay the
     /// claim attempts of a row missing from a full table one event at a time,
-    /// as [`RowTracker::record_batch`] does.
+    /// as `record` would.
     fn record_run(
         &mut self,
         row: RowId,
@@ -186,8 +176,8 @@ pub trait RowTracker: fmt::Debug + Send {
     ///
     /// Batch stagers use this to defer records: as long as the accumulated
     /// staged weight stays within the headroom reported when staging began, the
-    /// deferred span is provably mitigation-free and can be flushed later as
-    /// one [`RowTracker::record_batch`] call without perturbing mitigation
+    /// deferred span is provably mitigation-free and can be flushed later
+    /// through [`RowTracker::record_batch`] without perturbing mitigation
     /// emission order. Trackers whose `record` never mitigates directly
     /// (in-DRAM trackers that only act under RFM) return `u64::MAX`; trackers
     /// that consume randomness per record (PARA) must return 0 so every event

@@ -1,23 +1,17 @@
-//! Batched-record equivalence property tests.
+//! Staging and counted-event equivalence tests.
 //!
-//! PR 8 adds [`RowTracker::record_batch`] kernels that run-length-aggregate
-//! consecutive same-row activations and reuse one slot probe per run. The
-//! contract is *exact* semantic equivalence: splitting any record stream into
-//! arbitrary batches (each batch sharing one `now`, exactly as the staging
-//! engine does) must produce the same mitigation sequence and leave the tracker
-//! in the same observable state as recording every event individually.
+//! The engine stages tracked events while a span of them provably cannot
+//! mitigate, then flushes the span through [`RowTracker::record_batch`], the
+//! per-record loop. That safety argument rests on the headroom invariant
+//! pinned here for the trackers that mitigate from `record` (Graphene,
+//! PRAC): absorbing total weight of at most [`RowTracker::headroom`] can
+//! never mitigate.
 //!
-//! The suite pins that contract for all four specialized trackers — Graphene,
-//! Mithril, PRAC, and PARA (whose kernel must preserve the RNG stream
-//! decision-for-decision) — plus the headroom
-//! invariant the staging engine's safety argument rests on: absorbing total
-//! weight of at most [`RowTracker::headroom`] can never mitigate.
-//!
-//! The same holds for counted events: [`RowTracker::record_run`] (ImPress-N's
-//! window activations) must equal `count` calls of [`RowTracker::record`] —
-//! the same mitigations, the same state, and the same order of slots inside
-//! summary buckets, which a random suffix of plain records then exposes
-//! through eviction and RFM tie-breaks.
+//! Counted events must be exact as well: [`RowTracker::record_run`]
+//! (ImPress-N's window activations) must equal `count` calls of
+//! [`RowTracker::record`] — the same mitigations, the same state, and the same
+//! order of slots inside summary buckets, which a random suffix of plain
+//! records then exposes through eviction and RFM tie-breaks.
 
 use impress_trackers::graphene::GrapheneConfig;
 use impress_trackers::mithril::MithrilConfig;
@@ -31,8 +25,8 @@ use rand::{Rng, SeedableRng};
 
 type RowId = u32;
 
-/// A run-heavy random record stream: bursts of the same row (what the batch
-/// kernels aggregate) mixed with uniform single accesses (runs of length 1).
+/// A run-heavy random record stream: bursts of the same row mixed with
+/// uniform single accesses (runs of length 1).
 fn stream(seed: u64, len: usize, universe: u32) -> Vec<(RowId, Eact)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(len);
@@ -56,158 +50,7 @@ fn stream(seed: u64, len: usize, universe: u32) -> Vec<(RowId, Eact)> {
     out
 }
 
-/// Splits `len` events into random batch sizes in `1..=max_batch`.
-fn batch_sizes(seed: u64, len: usize, max_batch: usize) -> Vec<usize> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA7C);
-    let mut sizes = Vec::new();
-    let mut left = len;
-    while left > 0 {
-        let b = rng.gen_range(1..=max_batch.min(left));
-        sizes.push(b);
-        left -= b;
-    }
-    sizes
-}
-
-/// Drives `per` per-record and `bat` batched over the same stream split into
-/// `sizes`, asserting identical mitigation sequences batch-by-batch. Each batch
-/// shares one `now` (the staging engine's contract). Returns the total
-/// mitigation count.
-fn drive(
-    per: &mut dyn RowTracker,
-    bat: &mut dyn RowTracker,
-    events: &[(RowId, Eact)],
-    sizes: &[usize],
-) -> u64 {
-    let mut total = 0u64;
-    let mut offset = 0usize;
-    let mut bat_out: Vec<MitigationRequest> = Vec::new();
-    for (b, &size) in sizes.iter().enumerate() {
-        let now = (b as u64 + 1) * 1_000;
-        let batch = &events[offset..offset + size];
-        let per_out: Vec<MitigationRequest> = batch
-            .iter()
-            .filter_map(|&(row, eact)| per.record(row, eact, now))
-            .collect();
-        let rows: Vec<RowId> = batch.iter().map(|&(r, _)| r).collect();
-        let eacts: Vec<Eact> = batch.iter().map(|&(_, e)| e).collect();
-        bat_out.clear();
-        bat.record_batch(&rows, &eacts, now, &mut bat_out);
-        assert_eq!(bat_out, per_out, "batch {b} diverged");
-        total += per_out.len() as u64;
-        offset += size;
-    }
-    total
-}
-
 proptest! {
-    #[test]
-    fn graphene_batched_matches_per_record(
-        seed in 0u64..1_000_000,
-        universe in 4u32..64,
-        max_batch in 1usize..80,
-    ) {
-        // Tiny table and threshold so matches, evictions, spillover claims and
-        // threshold crossings all occur within a short stream.
-        let config = GrapheneConfig {
-            threshold: 100,
-            internal_threshold: 24,
-            entries: 4,
-            frac_bits: 7,
-        };
-        let mut per = Graphene::new(config.clone());
-        let mut bat = Graphene::new(config);
-        let events = stream(seed, 600, universe);
-        let sizes = batch_sizes(seed, events.len(), max_batch);
-        let mitigations = drive(&mut per, &mut bat, &events, &sizes);
-        prop_assert_eq!(per.mitigations(), mitigations);
-        prop_assert_eq!(bat.mitigations(), per.mitigations());
-        prop_assert_eq!(bat.spillover_raw(), per.spillover_raw());
-        prop_assert_eq!(bat.headroom(), per.headroom());
-        for row in 0..universe {
-            prop_assert_eq!(bat.tracked_raw(row), per.tracked_raw(row));
-        }
-    }
-
-    #[test]
-    fn mithril_batched_matches_per_record_with_rfm(
-        seed in 0u64..1_000_000,
-        universe in 4u32..64,
-        max_batch in 1usize..80,
-        rfm_every in 2usize..9,
-    ) {
-        let config = MithrilConfig {
-            threshold: 500,
-            rfm_threshold: 16,
-            entries: 4,
-            frac_bits: 7,
-        };
-        let mut per = Mithril::new(config.clone());
-        let mut bat = Mithril::new(config);
-        let events = stream(seed, 600, universe);
-        let sizes = batch_sizes(seed, events.len(), max_batch);
-        // Interleave RFMs between batches: Mithril only mitigates there, and
-        // the staging engine always flushes before an RFM.
-        let mut offset = 0usize;
-        let mut bat_out: Vec<MitigationRequest> = Vec::new();
-        for (b, &size) in sizes.iter().enumerate() {
-            let now = (b as u64 + 1) * 1_000;
-            let batch = &events[offset..offset + size];
-            for &(row, eact) in batch {
-                prop_assert_eq!(per.record(row, eact, now), None);
-            }
-            let rows: Vec<RowId> = batch.iter().map(|&(r, _)| r).collect();
-            let eacts: Vec<Eact> = batch.iter().map(|&(_, e)| e).collect();
-            bat_out.clear();
-            bat.record_batch(&rows, &eacts, now, &mut bat_out);
-            prop_assert!(bat_out.is_empty(), "Mithril record_batch must not mitigate");
-            if b % rfm_every == rfm_every - 1 {
-                prop_assert_eq!(bat.on_rfm(now), per.on_rfm(now));
-            }
-            offset += size;
-        }
-        prop_assert_eq!(bat.mitigations(), per.mitigations());
-        prop_assert_eq!(bat.spillover_raw(), per.spillover_raw());
-        for row in 0..universe {
-            prop_assert_eq!(bat.tracked_raw(row), per.tracked_raw(row));
-        }
-    }
-
-    #[test]
-    fn prac_batched_matches_per_record(
-        seed in 0u64..1_000_000,
-        universe in 4u32..64,
-        max_batch in 1usize..80,
-    ) {
-        // Alert threshold of 10 (threshold/2) so runs cross it repeatedly.
-        let mut per = Prac::for_threshold(20, 7, 1 << 10);
-        let mut bat = Prac::for_threshold(20, 7, 1 << 10);
-        let events = stream(seed, 600, universe);
-        let sizes = batch_sizes(seed, events.len(), max_batch);
-        let mitigations = drive(&mut per, &mut bat, &events, &sizes);
-        prop_assert_eq!(per.mitigations(), mitigations);
-        prop_assert_eq!(bat.mitigations(), per.mitigations());
-        prop_assert_eq!(bat.headroom(), per.headroom());
-        for row in 0..universe {
-            prop_assert_eq!(bat.count(row), per.count(row));
-        }
-    }
-
-    #[test]
-    fn para_batched_preserves_the_rng_stream(
-        seed in 0u64..1_000_000,
-        universe in 4u32..64,
-        max_batch in 1usize..80,
-    ) {
-        let mut per = Para::with_probability(4_000, 0.05, seed ^ 0xABCD);
-        let mut bat = Para::with_probability(4_000, 0.05, seed ^ 0xABCD);
-        let events = stream(seed, 600, universe);
-        let sizes = batch_sizes(seed, events.len(), max_batch);
-        drive(&mut per, &mut bat, &events, &sizes);
-        prop_assert_eq!(bat.decisions(), per.decisions());
-        prop_assert_eq!(bat.mitigations(), per.mitigations());
-    }
-
     /// The staging engine's safety invariant: any event span whose total weight
     /// (counting each event as `max(eact_raw, ONE)`) fits within the tracker's
     /// reported headroom is provably mitigation-free.
@@ -489,7 +332,7 @@ proptest! {
         frac7 in 0u32..2,
         universe in 4u32..64,
     ) {
-        // The tiny-threshold config of the batch tests, with and without
+        // The tiny-threshold config of the headroom test, with and without
         // fractional bits.
         let config = GrapheneConfig {
             threshold: 100,
