@@ -152,7 +152,7 @@ fn bench_graphene_scan(c: &mut Criterion) {
 
     // Match-path pair: a hot set smaller than the table, where every record after
     // warm-up matches a tracked row. The seed scanned O(entries) to find it; the
-    // row→slot index answers in O(1).
+    // table's hash chains answer in O(1).
     let mut reference_hot = ThreeScanGraphene::new(&config);
     group.bench_function("match_three_scan_seed", |b| {
         let mut i = 0u64;

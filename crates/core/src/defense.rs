@@ -76,6 +76,17 @@ pub trait RowPressDefense: fmt::Debug + Send {
     /// activations the tracker should record for the row's open time to `out`.
     fn on_close(&mut self, closed: &ClosedRow, out: &mut Vec<TrackedActivation>);
 
+    /// Whether [`RowPressDefense::on_activate`] ever appends an event or
+    /// changes the defense's state. The engine skips the call for a defense
+    /// that answers `false`; it still advances the refresh window at every
+    /// activation.
+    ///
+    /// The default is `true`. ImPress-P, which records only at row close,
+    /// answers `false`.
+    fn records_on_activate(&self) -> bool {
+        true
+    }
+
     /// The maximum row-open time the memory controller must enforce, if any.
     ///
     /// Only ExPress constrains this; returning `Some` makes the defense incompatible

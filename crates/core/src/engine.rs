@@ -71,6 +71,9 @@ pub struct BankMitigationEngine {
     /// mitigation-free, so this stays empty; it exists to satisfy the
     /// `record_batch` signature (and to catch invariant violations in debug).
     staged_out: Vec<MitigationRequest>,
+    /// Cached [`RowPressDefense::records_on_activate`]: when `false`, an
+    /// activation only advances the refresh window.
+    records_on_activate: bool,
 }
 
 impl std::fmt::Debug for BankMitigationEngine {
@@ -109,10 +112,12 @@ impl BankMitigationEngine {
         timings: &DramTimings,
     ) -> Self {
         let rfm_active = tracker.mitigates_on_rfm();
+        let records_on_activate = defense.records_on_activate();
         Self {
             defense,
             tracker,
             rfm_active,
+            records_on_activate,
             t_refw: timings.t_refw,
             next_refresh_window: timings.t_refw,
             stats: EngineStats::default(),
@@ -287,10 +292,16 @@ impl BankMitigationEngine {
     /// `out` is not cleared: the caller owns the buffer and reuses it across events,
     /// so the steady-state activation path performs no allocation.
     pub fn on_activate_into(&mut self, row: RowId, now: Cycle, out: &mut Vec<MitigationRequest>) {
+        // The window advances at every ACT, even for a defense that records
+        // nothing there: a REF issued at its due cycle can close a row before
+        // its own ACT's cycle, and that close must land after any window
+        // reset the ACT crossed.
         self.advance_refresh_window(now);
-        self.event_buf.clear();
-        self.defense.on_activate(row, now, &mut self.event_buf);
-        self.record_events(now, out);
+        if self.records_on_activate {
+            self.event_buf.clear();
+            self.defense.on_activate(row, now, &mut self.event_buf);
+            self.record_events(now, out);
+        }
     }
 
     /// Processes a row closure, appending any mitigations the tracker requests to
@@ -349,6 +360,7 @@ mod tests {
     use crate::clm::Alpha;
     use crate::config::{DefenseKind, TrackerChoice};
     use crate::impress_n::ImpressN;
+    use crate::impress_p::ImpressP;
 
     fn timings() -> DramTimings {
         DramTimings::ddr5()
@@ -660,6 +672,98 @@ mod tests {
                 }
                 assert!(mitigations > 0, "{label}: the stream never mitigated");
             }
+        }
+    }
+
+    /// ImPress-P with the default `records_on_activate`, so the engine
+    /// dispatches its every ACT: the oracle for skipping them.
+    #[derive(Debug)]
+    struct DispatchEveryAct(ImpressP);
+
+    impl RowPressDefense for DispatchEveryAct {
+        fn on_activate(&mut self, row: RowId, now: Cycle, out: &mut Vec<TrackedActivation>) {
+            self.0.on_activate(row, now, out);
+        }
+
+        fn on_close(&mut self, closed: &ClosedRow, out: &mut Vec<TrackedActivation>) {
+            self.0.on_close(closed, out);
+        }
+
+        fn name(&self) -> &'static str {
+            "ImPress-P (every ACT)"
+        }
+    }
+
+    /// Skipping ImPress-P's activations keeps the refresh window advancing at
+    /// every ACT. A REF issued at its due cycle can close a row before the
+    /// cycle of its own ACT: `Bank::refresh` then reports `closed_at <
+    /// opened_at` and no open time. The ACT that crossed the tREFW boundary
+    /// has already reset the tracker, so the back-dated close lands in the new
+    /// window, as it does when every ACT is dispatched. Were the window
+    /// advanced only at the close, the close would land in the old window and
+    /// push row 7 to the internal threshold.
+    #[test]
+    fn back_dated_close_lands_after_the_window_reset_its_act_crossed() {
+        use impress_trackers::graphene::GrapheneConfig;
+        use impress_trackers::Graphene;
+
+        let t = timings();
+        for batching in [false, true] {
+            let engine = |defense: Box<dyn RowPressDefense>| {
+                let tracker = Graphene::new(GrapheneConfig {
+                    threshold: 120,
+                    internal_threshold: 40,
+                    entries: 16,
+                    frac_bits: 7,
+                });
+                let mut e = BankMitigationEngine::from_parts(defense, Box::new(tracker), &t);
+                if batching {
+                    e.enable_record_batching();
+                }
+                e
+            };
+            let mut skipping = engine(Box::new(ImpressP::paper_default(&t)));
+            let mut every_act = engine(Box::new(DispatchEveryAct(ImpressP::paper_default(&t))));
+            assert!(!skipping.records_on_activate);
+            assert!(every_act.records_on_activate);
+            let label = format!("batching={batching}");
+
+            // 39 unit closes of row 7 in the first window, one short of the
+            // internal threshold.
+            let mut now = 0;
+            for _ in 0..39 {
+                for e in [&mut skipping, &mut every_act] {
+                    assert!(e.on_activate(7, now).is_empty(), "{label}");
+                    assert!(
+                        e.on_close(&closed(7, now, now + t.t_ras)).is_empty(),
+                        "{label}"
+                    );
+                }
+                now += t.t_rc;
+            }
+            // Row 7's next ACT is past the boundary; the REF due just before
+            // the boundary closes it.
+            let opened_at = t.t_refw + t.t_rc;
+            let back_dated = ClosedRow {
+                row: 7,
+                open_cycles: 0,
+                opened_at,
+                closed_at: t.t_refw - 1,
+            };
+            for e in [&mut skipping, &mut every_act] {
+                assert!(e.on_activate(7, opened_at).is_empty(), "{label}");
+            }
+            let m = skipping.on_close(&back_dated);
+            assert_eq!(m, every_act.on_close(&back_dated), "{label}");
+            assert!(m.is_empty(), "{label}: the close landed in the old window");
+            skipping.flush_staged();
+            every_act.flush_staged();
+            assert_eq!(
+                format!("{:?}", skipping.tracker()),
+                format!("{:?}", every_act.tracker()),
+                "{label}: tracker state"
+            );
+            assert_eq!(skipping.stats(), every_act.stats(), "{label}");
         }
     }
 

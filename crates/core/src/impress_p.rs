@@ -89,6 +89,10 @@ impl RowPressDefense for ImpressP {
         // time is known.
     }
 
+    fn records_on_activate(&self) -> bool {
+        false
+    }
+
     fn on_close(&mut self, closed: &ClosedRow, out: &mut Vec<TrackedActivation>) {
         let eact = Eact::from_open_time(closed.open_cycles, self.t_pre, self.t_rc, self.frac_bits);
         self.total_eact_raw += u64::from(eact.raw());
@@ -182,6 +186,7 @@ mod tests {
         let d = ImpressP::paper_default(&t);
         assert_eq!(d.tracker_threshold_scale(), 1.0);
         assert_eq!(d.max_row_open(), None);
+        assert!(!d.records_on_activate());
     }
 
     #[test]

@@ -36,8 +36,14 @@
 //! the spillover value, which can leave a *valid zero-count* entry coexisting
 //! with invalid entries — a min-count eviction that ignored validity would then
 //! displace a still-tracked row while free slots remain (a priority inversion).
-//! The tracker claims from an explicit free-slot list before consulting the
-//! summary, and is unit-tested against exactly that state.
+//! The tracker claims a free slot before consulting the minimum, and is
+//! unit-tested against exactly that state.
+//!
+//! The table is the [`CountSummary`] itself: it finds a row through a hash
+//! chain, holds each entry's row and count, and hands out free slots. This
+//! module keeps only Graphene's policy: a claim at the spillover count, the
+//! roll-back to the spillover count at the internal threshold, `record_run`'s
+//! closed form and the staging headroom.
 
 use impress_dram::address::RowId;
 use impress_dram::timing::Cycle;
@@ -45,18 +51,9 @@ use impress_dram::DramTimings;
 
 use crate::analysis::{graphene_entries, graphene_internal_threshold};
 use crate::eact::{Eact, EactCounter, RolledRun, CANONICAL_FRAC_BITS};
-use crate::index::RowSlotIndex;
 use crate::storage::{StorageEstimate, COUNTER_BITS, ROW_ADDRESS_BITS};
-use crate::summary::{restock_free_slots, summary_scaffolding, CountSummary};
+use crate::summary::CountSummary;
 use crate::tracker::{MitigationRequest, RowTracker, TrackerKind};
-
-/// One Misra-Gries table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    row: RowId,
-    count: EactCounter,
-    valid: bool,
-}
 
 /// Configuration for a [`Graphene`] tracker instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,16 +96,8 @@ impl GrapheneConfig {
 #[derive(Debug, Clone)]
 pub struct Graphene {
     config: GrapheneConfig,
-    table: Vec<Entry>,
-    /// O(1) row → slot map over the valid table entries (pure acceleration of the
-    /// match path; victim selection is the summary's job — see [`crate::index`]
-    /// and [`crate::summary`]).
-    index: RowSlotIndex,
-    /// Count-ordered view of the valid entries.
+    /// The Misra-Gries table: rows, counts in count order, and free slots.
     summary: CountSummary,
-    /// Invalid slots awaiting their first row, popped before any eviction is
-    /// considered — the explicit form of the invalid-before-eviction invariant.
-    free_slots: Vec<u32>,
     spillover: EactCounter,
     mitigations: u64,
 }
@@ -121,22 +110,9 @@ impl Graphene {
 
     /// Creates a Graphene tracker from an explicit configuration.
     pub fn new(config: GrapheneConfig) -> Self {
-        let table = vec![
-            Entry {
-                row: 0,
-                count: EactCounter::ZERO,
-                valid: false,
-            };
-            config.entries
-        ];
-        let index = RowSlotIndex::for_entries(config.entries);
-        let (summary, free_slots) = summary_scaffolding(config.entries);
         Self {
+            summary: CountSummary::new(config.entries),
             config,
-            table,
-            index,
-            summary,
-            free_slots,
             spillover: EactCounter::ZERO,
             mitigations: 0,
         }
@@ -154,15 +130,16 @@ impl Graphene {
 
     /// Current counter value for `row` (whole activations), if tracked.
     pub fn tracked_count(&self, row: RowId) -> Option<u64> {
-        self.index
-            .get(row)
-            .map(|slot| self.table[slot].count.activations())
+        self.tracked_raw(row)
+            .map(|raw| EactCounter::from_raw(raw).activations())
     }
 
     /// Current raw (Q7 fixed-point) counter value for `row`, if tracked — the
     /// exact quantity the equivalence and error-bound suites reason about.
     pub fn tracked_raw(&self, row: RowId) -> Option<u64> {
-        self.index.get(row).map(|slot| self.table[slot].count.raw())
+        self.summary
+            .find(row)
+            .and_then(|slot| self.summary.count_of(slot))
     }
 
     /// Raw (Q7 fixed-point) spillover count — the Misra-Gries error term.
@@ -179,66 +156,55 @@ impl Graphene {
         }
     }
 
-    /// Claims a slot for the missing `row`: an invalid slot off the free list
-    /// first (the explicit invalid-before-eviction invariant), else a
-    /// minimum-count victim — claimable exactly when the seed's scan would find
-    /// any claimable entry — or records the activation into the spillover
-    /// counter and returns `None`. `position` is the miss position
-    /// [`RowSlotIndex::locate`] returned, consumed before any other index
-    /// mutation so the claim costs one probe, not two.
+    /// The counter `row` starts its next add from, and its slot: a tracked
+    /// row's own count, or the spillover count in a slot claimed for it — a
+    /// free slot first (the invalid-before-eviction invariant), else a
+    /// minimum-count victim, claimable exactly when the seed's scan would find
+    /// any claimable entry. With no slot to claim, records the activation into
+    /// the spillover counter and returns `None`.
     ///
-    /// The summary is deliberately not updated here: the caller folds the claim,
-    /// the EACT increment and any mitigation roll-back into a single
+    /// The claim leaves the victim's count in place: the caller folds the
+    /// claim, the EACT increment and any mitigation roll-back into a single
     /// attach/set-count, so a claim costs one splice, not two.
-    fn claim_slot_summary(&mut self, row: RowId, eact: Eact, position: usize) -> Option<usize> {
-        let spillover_raw = self.spillover.raw();
-        let slot = if let Some(free) = self.free_slots.pop() {
-            let slot = free as usize;
-            self.index.insert_at(position, row, slot);
-            slot
-        } else {
-            match self.summary.min() {
-                Some((slot, min_raw)) if min_raw <= spillover_raw => {
-                    debug_assert!(
-                        self.free_slots.is_empty(),
-                        "eviction considered while invalid slots remain"
-                    );
-                    self.index.insert_at(position, row, slot);
-                    self.index.remove(self.table[slot].row);
-                    slot
-                }
-                _ => {
-                    self.spillover.add(eact);
-                    return None;
-                }
+    #[inline]
+    fn resolve_slot(&mut self, row: RowId, eact: Eact) -> Option<(usize, EactCounter)> {
+        if let Some(slot) = self.summary.find(row) {
+            let raw = self.summary.count_of(slot).unwrap_or_default();
+            return Some((slot, EactCounter::from_raw(raw)));
+        }
+        if let Some(slot) = self.summary.claim_free(row) {
+            return Some((slot, self.spillover));
+        }
+        match self.summary.min() {
+            Some((slot, min_raw)) if min_raw <= self.spillover.raw() => {
+                self.summary.rechain(slot, row);
+                Some((slot, self.spillover))
             }
-        };
-        self.table[slot] = Entry {
-            row,
-            count: self.spillover,
-            valid: true,
-        };
-        Some(slot)
+            _ => {
+                self.spillover.add(eact);
+                None
+            }
+        }
     }
 
     /// Resolves one slot for [`RowTracker::record_run`]'s `count` events of
-    /// `row`, each weighing the quantized `eact`: the match path probes the
-    /// index once; the miss path replays the per-record claim attempts (each
-    /// failed attempt spills one event's weight, exactly as `record` would,
-    /// and leaves the index untouched — so the miss position from `locate`
-    /// stays valid across attempts and the run still costs a single probe).
+    /// `row`, each weighing the quantized `eact`, replaying the per-record
+    /// claim attempts of a missing row (each failed attempt spills one event's
+    /// weight, exactly as `record` would).
     ///
-    /// Returns the slot and the number of leading events spilled before it was
-    /// claimed (the claiming event is not consumed: its add is the run's
-    /// first), or `None` when every event spilled.
-    fn resolve_run_slot(&mut self, row: RowId, count: u32, eact: Eact) -> Option<(usize, u32)> {
-        let position = match self.index.locate(row) {
-            Ok(slot) => return Some((slot, 0)),
-            Err(position) => position,
-        };
+    /// Returns the slot, the counter the run starts from, and the number of
+    /// leading events spilled before the slot was claimed (the claiming event
+    /// is not consumed: its add is the run's first), or `None` when every
+    /// event spilled.
+    fn resolve_run_slot(
+        &mut self,
+        row: RowId,
+        count: u32,
+        eact: Eact,
+    ) -> Option<(usize, EactCounter, u32)> {
         for k in 0..count {
-            if let Some(slot) = self.claim_slot_summary(row, eact, position) {
-                return Some((slot, k));
+            if let Some((slot, start)) = self.resolve_slot(row, eact) {
+                return Some((slot, start, k));
             }
         }
         None
@@ -246,7 +212,7 @@ impl Graphene {
 
     /// Mirrors a run's final count into the summary with one splice.
     /// `summary_count` is the summary's count for the slot when the run began
-    /// (`None` off the free list). Intermediate counts are never observed, and
+    /// (`None` for a free slot). Intermediate counts are never observed, and
     /// the slot's final in-bucket position is the head whenever any per-record
     /// splice would have `moved` it.
     fn settle_summary(
@@ -287,21 +253,14 @@ impl Graphene {
 impl RowTracker for Graphene {
     fn record(&mut self, row: RowId, eact: Eact, now: Cycle) -> Option<MitigationRequest> {
         let eact = self.quantize(eact);
-        // Misra-Gries update. The match path is O(1) via the row → slot index;
-        // only when the row is absent does the summary pick a slot, also in O(1).
-        let slot = match self.index.locate(row) {
-            Ok(slot) => slot,
-            Err(position) => self.claim_slot_summary(row, eact, position)?,
-        };
-
-        self.table[slot].count.add(eact);
-        let mitigation = if self.table[slot]
-            .count
-            .reached(self.config.internal_threshold)
-        {
+        // Misra-Gries update: a chain walk finds the row; only when it is
+        // absent does the table pick a slot, also in O(1).
+        let (slot, mut count) = self.resolve_slot(row, eact)?;
+        count.add(eact);
+        let mitigation = if count.reached(self.config.internal_threshold) {
             // Mitigate and roll the counter back to the spillover value so the row
             // keeps being tracked without immediately re-triggering.
-            self.table[slot].count = self.spillover;
+            count = self.spillover;
             self.mitigations += 1;
             Some(MitigationRequest {
                 aggressor: row,
@@ -311,9 +270,8 @@ impl RowTracker for Graphene {
             None
         };
         // One splice covers every case: a matched slot (or a reclaimed victim,
-        // still attached at its old count) moves buckets; a slot fresh off the
-        // free list attaches.
-        let raw = self.table[slot].count.raw();
+        // still attached at its old count) moves buckets; a free slot attaches.
+        let raw = count.raw();
         if self.summary.contains(slot) {
             self.summary.set_count(slot, raw);
         } else {
@@ -331,7 +289,7 @@ impl RowTracker for Graphene {
         out: &mut Vec<MitigationRequest>,
     ) {
         let eact = self.quantize(eact);
-        let Some((slot, spilled)) = self.resolve_run_slot(row, count, eact) else {
+        let Some((slot, start, spilled)) = self.resolve_run_slot(row, count, eact) else {
             return;
         };
         // The events left after the claim replay all land on `slot`, whose
@@ -341,7 +299,7 @@ impl RowTracker for Graphene {
         let weight = u64::from(eact.raw());
         let summary_count = self.summary.count_of(slot);
         let run = RolledRun::compute(
-            self.table[slot].count.raw(),
+            start.raw(),
             weight,
             left,
             self.config.internal_threshold,
@@ -355,7 +313,6 @@ impl RowTracker for Graphene {
         // the start count (match) or at most the spillover (claim), so a first
         // count equal to it is a fixed point of the add-and-roll-back step.
         let moved = run.crossings > 0 && Some(run.first_raw) != summary_count;
-        self.table[slot].count = EactCounter::from_raw(run.final_raw);
         self.settle_summary(slot, summary_count, run.final_raw, moved);
     }
 
@@ -376,13 +333,7 @@ impl RowTracker for Graphene {
     }
 
     fn on_refresh_window(&mut self, _now: Cycle) {
-        for e in &mut self.table {
-            e.valid = false;
-            e.count = EactCounter::ZERO;
-        }
-        self.index.clear();
         self.summary.clear();
-        restock_free_slots(&mut self.free_slots, self.config.entries);
         self.spillover = EactCounter::ZERO;
     }
 

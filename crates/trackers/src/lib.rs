@@ -42,7 +42,6 @@ pub mod analysis;
 pub mod eact;
 pub mod flat;
 pub mod graphene;
-pub mod index;
 pub mod mint;
 pub mod mithril;
 pub mod para;
@@ -54,7 +53,6 @@ pub mod tracker;
 pub use eact::{Eact, EactCounter};
 pub use flat::FlatCounterTable;
 pub use graphene::Graphene;
-pub use index::RowSlotIndex;
 pub use mint::Mint;
 pub use mithril::Mithril;
 pub use para::Para;

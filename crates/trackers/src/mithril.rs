@@ -28,28 +28,25 @@
 //! the bucket-ordering round-trip properties.
 //!
 //! Invalid entries are claimed **before** min-count eviction, as in the seed's
-//! first-invalid scan: the tracker pops an explicit free-slot list before
-//! consulting the summary. An RFM roll-back to a zero spillover leaves a valid
-//! zero-count entry that a validity-blind min-eviction would displace while
-//! free slots remain — the priority inversion this explicit invariant (and its
-//! unit test) rules out.
+//! first-invalid scan: the tracker claims a free slot before consulting the
+//! minimum. An RFM roll-back to a zero spillover leaves a valid zero-count
+//! entry that a validity-blind min-eviction would displace while free slots
+//! remain — the priority inversion this explicit invariant (and its unit test)
+//! rules out.
+//!
+//! The table is the [`CountSummary`] itself: it finds a row through a hash
+//! chain, holds each entry's row and count, and hands out free slots. This
+//! module keeps only Mithril's policy: a claim at the spillover count plus the
+//! claiming EACT, and the RFM roll-back of the maximum to the spillover count.
 
 use impress_dram::address::RowId;
 use impress_dram::timing::Cycle;
 
 use crate::analysis::mithril_entries;
 use crate::eact::{Eact, EactCounter, CANONICAL_FRAC_BITS};
-use crate::index::RowSlotIndex;
 use crate::storage::{StorageEstimate, COUNTER_BITS, ROW_ADDRESS_BITS};
-use crate::summary::{restock_free_slots, summary_scaffolding, CountSummary};
+use crate::summary::CountSummary;
 use crate::tracker::{MitigationRequest, RowTracker, TrackerKind};
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    row: RowId,
-    count: EactCounter,
-    valid: bool,
-}
 
 /// Configuration for a [`Mithril`] tracker instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,16 +89,8 @@ impl MithrilConfig {
 #[derive(Debug, Clone)]
 pub struct Mithril {
     config: MithrilConfig,
-    table: Vec<Entry>,
-    /// O(1) row → slot map over the valid table entries (pure acceleration of the
-    /// match path; victim selection is the summary's job — see [`crate::index`]
-    /// and [`crate::summary`]).
-    index: RowSlotIndex,
-    /// Count-ordered view of the valid entries.
+    /// The Misra-Gries table: rows, counts in count order, and free slots.
     summary: CountSummary,
-    /// Invalid slots awaiting their first row, popped before any eviction is
-    /// considered — the explicit form of the invalid-before-eviction invariant.
-    free_slots: Vec<u32>,
     spillover: EactCounter,
     mitigations: u64,
 }
@@ -114,22 +103,9 @@ impl Mithril {
 
     /// Creates a Mithril tracker from an explicit configuration.
     pub fn new(config: MithrilConfig) -> Self {
-        let table = vec![
-            Entry {
-                row: 0,
-                count: EactCounter::ZERO,
-                valid: false,
-            };
-            config.entries
-        ];
-        let index = RowSlotIndex::for_entries(config.entries);
-        let (summary, free_slots) = summary_scaffolding(config.entries);
         Self {
+            summary: CountSummary::new(config.entries),
             config,
-            table,
-            index,
-            summary,
-            free_slots,
             spillover: EactCounter::ZERO,
             mitigations: 0,
         }
@@ -147,15 +123,16 @@ impl Mithril {
 
     /// Current counter value for `row` (whole activations), if tracked.
     pub fn tracked_count(&self, row: RowId) -> Option<u64> {
-        self.index
-            .get(row)
-            .map(|slot| self.table[slot].count.activations())
+        self.tracked_raw(row)
+            .map(|raw| EactCounter::from_raw(raw).activations())
     }
 
     /// Current raw (Q7 fixed-point) counter value for `row`, if tracked — the
     /// exact quantity the equivalence and error-bound suites reason about.
     pub fn tracked_raw(&self, row: RowId) -> Option<u64> {
-        self.index.get(row).map(|slot| self.table[slot].count.raw())
+        self.summary
+            .find(row)
+            .and_then(|slot| self.summary.count_of(slot))
     }
 
     /// Raw (Q7 fixed-point) spillover count — the Misra-Gries error term.
@@ -172,47 +149,26 @@ impl Mithril {
         }
     }
 
-    /// Claims a slot for the missing `row` and installs it at `count`: an
-    /// invalid slot off the free list first (the explicit invalid-before-eviction
-    /// invariant), else the minimum-count entry when it is at or below the
-    /// spillover count — displaceable exactly when the seed's scan would displace
-    /// its minimum. Returns `None`, leaving everything untouched, when no entry
-    /// is displaceable. `position` is the miss position
-    /// [`RowSlotIndex::locate`] returned; the insert happens before the victim is
-    /// removed, keeping it valid.
+    /// Claims a slot for the missing `row` and installs it at `count`: a free
+    /// slot first (the invalid-before-eviction invariant), else the
+    /// minimum-count entry when it is at or below the spillover count —
+    /// displaceable exactly when the seed's scan would displace its minimum.
+    /// Returns `None`, leaving everything untouched, when no entry is
+    /// displaceable.
     // `record` takes this path on every miss of a churn stream; keep it free
     // of a call.
     #[inline(always)]
-    fn claim_slot_summary(
-        &mut self,
-        row: RowId,
-        count: EactCounter,
-        position: usize,
-    ) -> Option<usize> {
-        let slot = if let Some(free) = self.free_slots.pop() {
-            let slot = free as usize;
-            self.index.insert_at(position, row, slot);
+    fn claim_slot(&mut self, row: RowId, count: EactCounter) -> Option<usize> {
+        if let Some(slot) = self.summary.claim_free(row) {
             self.summary.attach(slot, count.raw());
-            slot
-        } else {
-            // The fused call checks the eviction condition, unlinks the victim
-            // and re-links it at the new count in one pass.
-            let slot = self
-                .summary
-                .evict_min_if_at_most(self.spillover.raw(), count.raw())?;
-            debug_assert!(
-                self.free_slots.is_empty(),
-                "eviction considered while invalid slots remain"
-            );
-            self.index.insert_at(position, row, slot);
-            self.index.remove(self.table[slot].row);
-            slot
-        };
-        self.table[slot] = Entry {
-            row,
-            count,
-            valid: true,
-        };
+            return Some(slot);
+        }
+        // The fused call checks the eviction condition, unlinks the victim and
+        // re-links it at the new count in one pass.
+        let slot = self
+            .summary
+            .evict_min_if_at_most(self.spillover.raw(), count.raw())?;
+        self.summary.rechain(slot, row);
         Some(slot)
     }
 
@@ -225,16 +181,13 @@ impl Mithril {
     /// Returns the slot and the number of events consumed (spilled or
     /// absorbed by the claim), or `None` when every event spilled.
     fn resolve_run_slot(&mut self, row: RowId, count: u32, eact: Eact) -> Option<(usize, u32)> {
-        // `position` stays valid across failed attempts: a failed claim only
-        // grows the spillover counter.
-        let position = match self.index.locate(row) {
-            Ok(slot) => return Some((slot, 0)),
-            Err(position) => position,
-        };
+        if let Some(slot) = self.summary.find(row) {
+            return Some((slot, 0));
+        }
         for k in 0..count {
             let mut claimed = self.spillover;
             claimed.add(eact);
-            if let Some(slot) = self.claim_slot_summary(row, claimed, position) {
+            if let Some(slot) = self.claim_slot(row, claimed) {
                 return Some((slot, k + 1));
             }
             self.spillover.add(eact);
@@ -242,12 +195,13 @@ impl Mithril {
         None
     }
 
-    /// Adds `weight` (raw Q7) to `slot`'s counter with one summary splice.
+    /// Adds `weight` (raw Q7) to a tracked `slot`'s counter with one summary
+    /// splice.
+    #[inline]
     fn add_to_slot(&mut self, slot: usize, weight: u64) {
         if weight > 0 {
-            let final_raw = self.table[slot].count.raw().saturating_add(weight);
-            self.table[slot].count = EactCounter::from_raw(final_raw);
-            self.summary.set_count(slot, final_raw);
+            let count = self.summary.count_of(slot).unwrap_or_default();
+            self.summary.set_count(slot, count.saturating_add(weight));
         }
     }
 }
@@ -255,21 +209,16 @@ impl Mithril {
 impl RowTracker for Mithril {
     fn record(&mut self, row: RowId, eact: Eact, _now: Cycle) -> Option<MitigationRequest> {
         let eact = self.quantize(eact);
-        // The match path is O(1) via the row → slot index; only when the row is
-        // absent does the summary pick a slot, also in O(1). `locate` hands the
-        // miss position straight to the claim, so a miss costs one probe.
-        // Mithril never mitigates outside of RFM, so every path returns `None`.
-        let position = match self.index.locate(row) {
-            Ok(slot) => {
-                self.table[slot].count.add(eact);
-                self.summary.set_count(slot, self.table[slot].count.raw());
-                return None;
-            }
-            Err(position) => position,
-        };
+        // A chain walk finds the row; only when it is absent does the table
+        // pick a slot, also in O(1). Mithril never mitigates outside of RFM,
+        // so every path returns `None`.
+        if let Some(slot) = self.summary.find(row) {
+            self.add_to_slot(slot, u64::from(eact.raw()));
+            return None;
+        }
         let mut count = self.spillover;
         count.add(eact);
-        if self.claim_slot_summary(row, count, position).is_none() {
+        if self.claim_slot(row, count).is_none() {
             self.spillover.add(eact);
         }
         None
@@ -306,10 +255,9 @@ impl RowTracker for Mithril {
         if max_raw == 0 {
             return None;
         }
-        let aggressor = self.table[slot].row;
+        let aggressor = self.summary.row_of(slot);
         // Roll the mitigated row's counter back to the spillover value (a
         // *decrement* whenever any activation spilled since the last reset).
-        self.table[slot].count = self.spillover;
         self.summary.set_count(slot, self.spillover.raw());
         self.mitigations += 1;
         Some(MitigationRequest {
@@ -319,13 +267,7 @@ impl RowTracker for Mithril {
     }
 
     fn on_refresh_window(&mut self, _now: Cycle) {
-        for e in &mut self.table {
-            e.valid = false;
-            e.count = EactCounter::ZERO;
-        }
-        self.index.clear();
         self.summary.clear();
-        restock_free_slots(&mut self.free_slots, self.config.entries);
         self.spillover = EactCounter::ZERO;
     }
 

@@ -83,7 +83,9 @@ pub const COUNTER_BITS: u32 = 15;
 /// accounting (entries × entry width) is unchanged. The constant exists so the
 /// storage analysis can quote what an SRAM-pointer realization *would* cost
 /// (`3 × 9 = 27` bits/entry, ~84% of a 32-bit base entry — which is exactly why
-/// the hardware uses a CAM instead).
+/// the hardware uses a CAM instead). The simulator's slot record also holds a
+/// hash-chain link for the row lookup, which the same CAM answers in hardware;
+/// it is not counted here either.
 pub const SUMMARY_LINK_BITS: u32 = 27;
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! O(1) min/max-count maintenance for Misra-Gries tables: the stream summary
-//! behind Graphene's and Mithril's eviction and RFM choices.
+//! The Misra-Gries counter table behind Graphene and Mithril: row lookup
+//! through hash chains, and O(1) min/max-count maintenance for their eviction
+//! and RFM choices.
 //!
 //! Graphene and Mithril need three ordered queries over their counter tables that
 //! the seed answered with linear scans on every *miss*:
@@ -10,15 +11,13 @@
 //!   the spillover count?";
 //! * Mithril's RFM mitigation: "which entry has the maximum count?".
 //!
-//! The row→slot index (PR 3) made the *match* path O(1) but left every miss paying
-//! an O(entries) scan, a ~100× throughput cliff on eviction-heavy churn streams.
-//! [`CountSummary`] removes the scan: it is the classic *stream-summary* structure
-//! of Metwally et al.'s Space-Saving algorithm — table slots threaded onto
-//! doubly-linked lists, one list per distinct count value ("bucket"), with the
-//! buckets themselves on a doubly-linked list ordered by count. The minimum lives
-//! at the head of the first bucket and the maximum at the head of the last, so
-//! insert / evict-min / mitigate-max / roll-back-to-spillover are all pointer
-//! splices:
+//! [`CountSummary`] answers them without a scan: it is the classic
+//! *stream-summary* structure of Metwally et al.'s Space-Saving algorithm —
+//! table slots threaded onto doubly-linked lists, one list per distinct count
+//! value ("bucket"), with the buckets themselves on a doubly-linked list ordered
+//! by count. The minimum lives at the head of the first bucket and the maximum at
+//! the head of the last, so insert / evict-min / mitigate-max /
+//! roll-back-to-spillover are all pointer splices:
 //!
 //! * no allocation in steady state — bucket nodes come from a preallocated pool
 //!   sized at one node per table slot (a bucket is never empty, so the number of
@@ -31,6 +30,24 @@
 //!   cluster tightly and the walk is O(1) amortized, and a single-occupant bucket
 //!   whose neighbours are not crossed is re-counted in place without any splice.
 //!
+//! The per-slot record is the whole Misra-Gries entry, so the summary is the
+//! table itself:
+//!
+//! * a slot holds its row, a hash-chain link and its bucket links; its count
+//!   lives once, in its bucket;
+//! * [`CountSummary::find`] walks the chain of slots hanging off the row's head.
+//!   The head array has a power-of-two size of at least twice the slot count,
+//!   indexed by a Fibonacci hash that keeps the product's high bits, so a chain
+//!   holds at most half a slot on average;
+//! * free slots are claimed in id order (slot 0 first, the seed's first-invalid
+//!   scan order) and come back only all at once, at [`CountSummary::clear`], so
+//!   the free set is the id range above a claimed watermark;
+//! * an eviction unchains the victim's old row before chaining the new one.
+//!
+//! The bucket splices write only a slot's bucket links and the chain operations
+//! only its row and chain link, so moving a slot in the count order never loses
+//! its row.
+//!
 //! Selecting among *tied* minima (or maxima) is where the summary deliberately
 //! diverges from the seed's scan: the scan broke ties by table order, the summary
 //! by bucket-list order. The Misra-Gries/Space-Saving guarantees do not depend on
@@ -39,34 +56,13 @@
 //! [`crate::graphene`]/[`crate::mithril`] and the `summary_equivalence`
 //! integration suite.
 
+use impress_dram::address::RowId;
+
 /// Sentinel for "no slot / no bucket".
 const NIL: u32 = u32::MAX;
 
-/// Builds a counter table's summary scaffolding: an empty [`CountSummary`] and
-/// the invalid-slot free list, full (claimed before any eviction is considered
-/// — the explicit invalid-before-eviction invariant).
-///
-/// Shared by Graphene and Mithril so the free-slot pop order — load-bearing
-/// for the lockstep equivalence of invalid claims, see
-/// [`restock_free_slots`] — is defined in exactly one place.
-pub fn summary_scaffolding(entries: usize) -> (CountSummary, Vec<u32>) {
-    let mut free_slots = Vec::with_capacity(entries);
-    restock_free_slots(&mut free_slots, entries);
-    (CountSummary::new(entries), free_slots)
-}
-
-/// Refills the invalid-slot free list with every slot (a refresh-window reset).
-///
-/// Slots are stacked in reverse so pops claim slot 0 first — the same order the
-/// seed's first-invalid scan produces. Slot identity is unobservable, but
-/// keeping the orders aligned means an invalid claim can never be the point
-/// where the tracker's and the seed's table layouts diverge, which makes
-/// divergences in the equivalence suites attributable to tied-victim choices
-/// alone.
-pub fn restock_free_slots(free_slots: &mut Vec<u32>, entries: usize) {
-    free_slots.clear();
-    free_slots.extend((0..entries as u32).rev());
-}
+/// Fibonacci hashing multiplier, 2^32 / φ.
+const FIB_MULTIPLIER: u32 = 0x9E37_79B9;
 
 /// One bucket: a non-empty set of slots sharing the same count, on the ordered
 /// bucket list.
@@ -82,38 +78,52 @@ struct Bucket {
     next: u32,
 }
 
-/// Per-slot membership links, kept in one node so a slot touch costs one cache
-/// line instead of three parallel-array loads (the record hot path visits these
-/// on every activation).
+/// One table slot: the row it tracks, its hash-chain link and its bucket
+/// links, in one 20-byte record, so a lookup and the splice that follows read
+/// one record instead of a row table, an index and a link array. The count is
+/// the bucket's.
 #[derive(Debug, Clone, Copy)]
-struct SlotLink {
+struct Slot {
     /// Bucket id (`NIL` when the slot is not attached).
     bucket: u32,
     /// Previous member in the bucket list (`NIL` at the head).
     prev: u32,
     /// Next member in the bucket list (`NIL` at the tail).
     next: u32,
+    /// The row a claimed slot tracks (stale on a free slot).
+    row: RowId,
+    /// Next slot on this slot's hash chain (`NIL` at the end).
+    chain: u32,
 }
 
-const DETACHED: SlotLink = SlotLink {
+const EMPTY_SLOT: Slot = Slot {
     bucket: NIL,
     prev: NIL,
     next: NIL,
+    row: 0,
+    chain: NIL,
 };
 
-/// A stream-summary over a fixed set of table slots: every *attached* slot has a
-/// count, and the structure answers min/max queries and applies count changes in
-/// O(1) pointer splices (plus a bucket-list walk bounded by the number of distinct
-/// counts crossed).
+/// A Misra-Gries table over a fixed set of slots: claimed slots hold a row
+/// found through hash chains, *attached* slots have a count, and the structure
+/// answers min/max queries and applies count changes in O(1) pointer splices
+/// (plus a bucket-list walk bounded by the number of distinct counts crossed).
 ///
-/// The summary stores only slot ids and counts; the owning tracker keeps the
-/// authoritative `(row, counter)` table and mirrors every change into the summary.
+/// The trackers attach a slot in the same call that claims it, so between
+/// calls the claimed and the attached slots are the same set. The count
+/// operations also work on their own, keyed by slot, without any row.
 #[derive(Debug, Clone)]
 pub struct CountSummary {
-    /// Per-slot membership links (`bucket == NIL` when the slot is detached).
-    slots: Vec<SlotLink>,
+    /// Per-slot records (`bucket == NIL` when the slot is detached).
+    slots: Vec<Slot>,
     /// Bucket node pool (capacity = number of slots; a bucket is never empty).
     buckets: Vec<Bucket>,
+    /// First slot of each hash chain, or `NIL` (indexed by `chain_of`).
+    heads: Vec<u32>,
+    /// Right shift keeping the hash's top `log2(heads.len())` bits.
+    shift: u32,
+    /// Slots `0..claimed` are claimed; the rest are free and claimed in id order.
+    claimed: u32,
     /// Head of the intrusive free-bucket chain (threaded through `Bucket::next`).
     free_head: u32,
     /// Bucket holding the minimum count, or `NIL` when empty.
@@ -125,14 +135,31 @@ pub struct CountSummary {
 }
 
 impl CountSummary {
-    /// Builds an empty summary able to track `slots` table slots.
+    /// Builds an empty table of `slots` slots, with the smallest power-of-two
+    /// number of chain heads that is at least twice the slot count.
     pub fn new(slots: usize) -> Self {
+        Self::with_chain_heads(slots, (2 * slots).next_power_of_two())
+    }
+
+    /// Builds an empty table of `slots` slots over `heads` hash chains. Fewer
+    /// heads than [`CountSummary::new`] picks only lengthen the chains; tests
+    /// use one or two to make every row collide.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `heads` is a power of two of at most 2^32 and `slots`
+    /// fits the u32 id space with a sentinel.
+    pub fn with_chain_heads(slots: usize, heads: usize) -> Self {
         assert!(
             slots < NIL as usize,
             "slot count must fit the u32 id space with a sentinel"
         );
+        assert!(
+            heads.is_power_of_two() && heads.trailing_zeros() <= 32,
+            "chain heads must be a power of two of at most 2^32"
+        );
         let mut summary = Self {
-            slots: vec![DETACHED; slots],
+            slots: vec![EMPTY_SLOT; slots],
             buckets: vec![
                 Bucket {
                     count: 0,
@@ -142,6 +169,9 @@ impl CountSummary {
                 };
                 slots
             ],
+            heads: vec![NIL; heads],
+            shift: 32 - heads.trailing_zeros(),
+            claimed: 0,
             free_head: NIL,
             first: NIL,
             last: NIL,
@@ -176,6 +206,13 @@ impl CountSummary {
         self.free_head = b;
     }
 
+    /// The chain `row` hangs off: the top bits of its Fibonacci hash (computed
+    /// in 64 bits so a single head, a shift of 32, is well defined).
+    #[inline]
+    fn chain_of(&self, row: RowId) -> usize {
+        (u64::from(row.wrapping_mul(FIB_MULTIPLIER)) >> self.shift) as usize
+    }
+
     /// Number of attached slots.
     pub fn len(&self) -> usize {
         self.len
@@ -192,9 +229,90 @@ impl CountSummary {
     }
 
     /// The count currently recorded for an attached `slot`.
+    #[inline]
     pub fn count_of(&self, slot: usize) -> Option<u64> {
         let b = self.slots[slot].bucket;
         (b != NIL).then(|| self.buckets[b as usize].count)
+    }
+
+    /// The row a claimed `slot` tracks.
+    #[inline]
+    pub fn row_of(&self, slot: usize) -> RowId {
+        debug_assert!(slot < self.claimed as usize, "row of free slot {slot}");
+        self.slots[slot].row
+    }
+
+    /// The claimed slot tracking `row`, if any: a walk along `row`'s chain.
+    #[inline]
+    pub fn find(&self, row: RowId) -> Option<usize> {
+        let mut s = self.heads[self.chain_of(row)];
+        while s != NIL {
+            let slot = &self.slots[s as usize];
+            if slot.row == row {
+                return Some(s as usize);
+            }
+            s = slot.chain;
+        }
+        None
+    }
+
+    /// Claims the lowest free slot for `row`, which must not be tracked, and
+    /// chains it; `None` when every slot is claimed. The slot is left
+    /// detached: the caller attaches it at its first count.
+    #[inline]
+    pub fn claim_free(&mut self, row: RowId) -> Option<usize> {
+        let slot = self.claimed;
+        if slot as usize == self.slots.len() {
+            return None;
+        }
+        debug_assert_eq!(self.find(row), None, "row {row} claimed twice");
+        self.claimed += 1;
+        self.chain(slot, row);
+        Some(slot as usize)
+    }
+
+    /// Moves a claimed `slot` to `row`, which must not be tracked: unchains
+    /// the slot's old row, then chains the new one (both may share a chain).
+    /// The slot's count and bucket position are untouched.
+    #[inline]
+    pub fn rechain(&mut self, slot: usize, row: RowId) {
+        debug_assert!(slot < self.claimed as usize, "rechain of free slot {slot}");
+        debug_assert_eq!(self.find(row), None, "row {row} claimed twice");
+        let slot = slot as u32;
+        self.unchain(slot);
+        self.chain(slot, row);
+    }
+
+    /// Pushes `slot` onto the head of `row`'s chain.
+    #[inline]
+    fn chain(&mut self, slot: u32, row: RowId) {
+        let h = self.chain_of(row);
+        let record = &mut self.slots[slot as usize];
+        record.row = row;
+        record.chain = self.heads[h];
+        self.heads[h] = slot;
+    }
+
+    /// Unlinks `slot` from its row's chain, relinking its predecessor (or
+    /// the head) past it.
+    #[inline]
+    fn unchain(&mut self, slot: u32) {
+        let Slot { row, chain, .. } = self.slots[slot as usize];
+        let h = self.chain_of(row);
+        let mut cur = self.heads[h];
+        if cur == slot {
+            self.heads[h] = chain;
+            return;
+        }
+        loop {
+            debug_assert_ne!(cur, NIL, "slot {slot} missing from its chain");
+            let next = self.slots[cur as usize].chain;
+            if next == slot {
+                self.slots[cur as usize].chain = chain;
+                return;
+            }
+            cur = next;
+        }
     }
 
     /// A slot holding the minimum count, with that count. O(1).
@@ -340,12 +458,15 @@ impl CountSummary {
         Some(slot)
     }
 
-    /// Detaches every slot. Capacity is retained; never allocates.
+    /// Detaches and frees every slot, emptying every chain. Capacity is
+    /// retained; never allocates.
     pub fn clear(&mut self) {
-        if self.len == 0 {
+        if self.len == 0 && self.claimed == 0 {
             return;
         }
-        self.slots.fill(DETACHED);
+        self.slots.fill(EMPTY_SLOT);
+        self.heads.fill(NIL);
+        self.claimed = 0;
         self.first = NIL;
         self.last = NIL;
         self.len = 0;
@@ -422,11 +543,10 @@ impl CountSummary {
         };
         // Push the slot at the head of the bucket's member list (LIFO tie-break).
         let head = self.buckets[target as usize].head;
-        self.slots[slot] = SlotLink {
-            bucket: target,
-            prev: NIL,
-            next: head,
-        };
+        let record = &mut self.slots[slot];
+        record.bucket = target;
+        record.prev = NIL;
+        record.next = head;
         if head != NIL {
             self.slots[head as usize].prev = slot as u32;
         }
@@ -437,7 +557,7 @@ impl CountSummary {
     /// the hint described in [`CountSummary::detach`].
     #[inline]
     fn unlink_slot(&mut self, b: u32, slot: usize) -> u32 {
-        let SlotLink { prev, next, .. } = self.slots[slot];
+        let Slot { prev, next, .. } = self.slots[slot];
         if prev != NIL {
             self.slots[prev as usize].next = next;
         } else {
@@ -446,7 +566,11 @@ impl CountSummary {
         if next != NIL {
             self.slots[next as usize].prev = prev;
         }
-        self.slots[slot] = DETACHED;
+        // The bucket links only: the row and chain link stay.
+        let record = &mut self.slots[slot];
+        record.bucket = NIL;
+        record.prev = NIL;
+        record.next = NIL;
         if self.buckets[b as usize].head != NIL {
             return b;
         }
@@ -469,7 +593,10 @@ impl CountSummary {
 
     /// Full structural validation: bucket counts strictly increasing along the
     /// list, all links mutually consistent, no empty live bucket, every attached
-    /// slot reachable exactly once, and the node pool conserved.
+    /// slot reachable exactly once, and the node pool conserved. On the chains:
+    /// every claimed slot is attached and reachable exactly once, from the head
+    /// its row hashes to, no row is claimed twice, and no free slot is
+    /// reachable.
     ///
     /// O(slots); intended for tests and debug assertions, not hot paths.
     ///
@@ -551,6 +678,42 @@ impl CountSummary {
             self.buckets.len(),
             "bucket node pool not conserved"
         );
+        self.validate_chains();
+    }
+
+    /// The chain half of [`CountSummary::validate`].
+    fn validate_chains(&self) {
+        let claimed = self.claimed as usize;
+        assert!(claimed <= self.slots.len(), "claimed past the last slot");
+        let mut chained = vec![false; claimed];
+        for (h, &head) in self.heads.iter().enumerate() {
+            let mut s = head;
+            while s != NIL {
+                let i = s as usize;
+                assert!(i < claimed, "free slot {i} is reachable from chain {h}");
+                // A revisit also catches a cycle.
+                assert!(
+                    !std::mem::replace(&mut chained[i], true),
+                    "slot {i} is reachable twice"
+                );
+                let row = self.slots[i].row;
+                assert_eq!(
+                    self.chain_of(row),
+                    h,
+                    "slot {i} (row {row}) hangs off the wrong chain"
+                );
+                s = self.slots[i].chain;
+            }
+        }
+        for (i, &reached) in chained.iter().enumerate() {
+            assert!(reached, "claimed slot {i} is unreachable from its chain");
+            assert_ne!(self.slots[i].bucket, NIL, "claimed slot {i} has no count");
+        }
+        let mut rows: Vec<RowId> = self.slots[..claimed].iter().map(|s| s.row).collect();
+        rows.sort_unstable();
+        if let Some(pair) = rows.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("row {} is claimed twice", pair[0]);
+        }
     }
 }
 
@@ -691,5 +854,115 @@ mod tests {
         let mut s = CountSummary::new(2);
         s.attach(0, 1);
         s.attach(0, 2);
+    }
+
+    /// Claims `row` off the free slots and attaches it at `count`, as the
+    /// trackers do.
+    fn claim(s: &mut CountSummary, row: RowId, count: u64) -> usize {
+        let slot = s.claim_free(row).expect("a free slot");
+        s.attach(slot, count);
+        slot
+    }
+
+    #[test]
+    fn claim_find_rechain_roundtrip() {
+        let mut s = CountSummary::new(8);
+        assert_eq!(claim(&mut s, 100, 1), 0);
+        assert_eq!(claim(&mut s, 200, 2), 1);
+        s.validate();
+        assert_eq!(s.find(100), Some(0));
+        assert_eq!(s.find(200), Some(1));
+        assert_eq!(s.find(300), None);
+        s.rechain(0, 300);
+        s.validate();
+        assert_eq!(s.find(100), None);
+        assert_eq!(s.find(300), Some(0));
+        assert_eq!(s.row_of(0), 300);
+        assert_eq!(s.count_of(0), Some(1), "a rechain keeps the count");
+        assert_eq!(s.find(200), Some(1));
+    }
+
+    #[test]
+    fn colliding_rows_survive_middle_unchain() {
+        // One chain head: every row collides, and each victim position is in
+        // turn the chain's head, a middle link and its tail.
+        let mut s = CountSummary::with_chain_heads(8, 1);
+        let rows: Vec<RowId> = (0..6).map(|i| 5 + i * 16 * 7).collect();
+        for (slot, &row) in rows.iter().enumerate() {
+            assert_eq!(claim(&mut s, row, slot as u64), slot);
+        }
+        for victim in 0..rows.len() {
+            let mut s = s.clone();
+            s.rechain(victim, 9_999);
+            s.validate();
+            assert_eq!(s.find(9_999), Some(victim));
+            for (slot, &row) in rows.iter().enumerate() {
+                let expected = (slot != victim).then_some(slot);
+                assert_eq!(s.find(row), expected, "victim {victim} row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn free_slots_are_never_found() {
+        // There is no sentinel row: free slots hold a stale row 0 but hang off
+        // no chain, and `RowId::MAX` is an ordinary row.
+        let mut s = CountSummary::new(8);
+        assert_eq!(s.find(0), None);
+        assert_eq!(claim(&mut s, RowId::MAX, 1), 0);
+        assert_eq!(s.find(RowId::MAX), Some(0));
+        assert_eq!(s.find(0), None);
+        s.validate();
+    }
+
+    #[test]
+    fn clear_unchains_every_row() {
+        let mut s = CountSummary::new(32);
+        for row in 0..32u32 {
+            claim(&mut s, row * 3 + 1, u64::from(row));
+        }
+        s.clear();
+        s.validate();
+        assert!(s.is_empty());
+        for row in 0..32u32 {
+            assert_eq!(s.find(row * 3 + 1), None);
+        }
+        // The free slots come back in id order.
+        assert_eq!(claim(&mut s, 7, 0), 0);
+        assert_eq!(claim(&mut s, 8, 0), 1);
+    }
+
+    #[test]
+    fn churn_rechain_cycles() {
+        // Eviction-heavy usage: a full table evicts its minimum for a new row
+        // on every step, like a Misra-Gries table on a miss-heavy stream.
+        let mut s = CountSummary::with_chain_heads(4, 2);
+        for (slot, row) in (10..14u32).enumerate() {
+            claim(&mut s, row, slot as u64);
+        }
+        for round in 0..10_000u32 {
+            let (slot, count) = s.min().unwrap();
+            let old = s.row_of(slot);
+            let new = 14 + round;
+            assert_eq!(s.evict_min_if_at_most(count, count + 4), Some(slot));
+            s.rechain(slot, new);
+            assert_eq!(s.find(old), None, "round {round}: {old} still found");
+            assert_eq!(s.find(new), Some(slot));
+            assert_eq!(s.len(), 4);
+            if round % 512 == 0 {
+                s.validate();
+            }
+        }
+        s.validate();
+    }
+
+    #[test]
+    fn claiming_past_the_last_free_slot_fails() {
+        let mut s = CountSummary::new(4);
+        for row in 0..4u32 {
+            claim(&mut s, row, 0);
+        }
+        assert_eq!(s.claim_free(4), None);
+        s.validate();
     }
 }

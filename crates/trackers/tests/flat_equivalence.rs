@@ -1,17 +1,18 @@
 //! Behavioral-equivalence property tests for the flat hot-path structures.
 //!
-//! PR 2 replaced PRAC's `HashMap` with an open-addressed flat table, and PR 3
-//! gave Graphene and Mithril an open-addressed row → slot index. These tests
-//! drive both against `HashMap` models with identical random streams and
-//! require identical observable behavior: the same mitigation requests in the
-//! same order, the same counter values, and the same state after
+//! PRAC keeps its counters in an open-addressed flat table instead of the
+//! seed's `HashMap`, and Graphene and Mithril find their rows through hash
+//! chains threaded through their [`CountSummary`] slots. These tests drive both
+//! against `HashMap` models with identical random streams and require
+//! identical observable behavior: the same mitigation requests in the same
+//! order, the same counter values or row lookups, and the same state after
 //! refresh-window resets. Graphene's and Mithril's table algorithms are held
 //! to the seed in `summary_equivalence.rs`.
 
 use std::collections::HashMap;
 
 use impress_trackers::eact::{Eact, EactCounter, CANONICAL_FRAC_BITS};
-use impress_trackers::{MitigationRequest, Prac, RowSlotIndex, RowTracker};
+use impress_trackers::{CountSummary, MitigationRequest, Prac, RowTracker};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -116,47 +117,76 @@ proptest! {
         }
     }
 
-    /// The row → slot index behaves exactly like a `HashMap<RowId, usize>` under
-    /// tracker-shaped operation streams: inserts of absent rows, removals (present
-    /// and absent), lookups, and full clears. Exercises backward-shift deletion by
-    /// keeping the key universe small relative to the index capacity.
+    /// The table's row lookup behaves exactly like a `HashMap<RowId, usize>`
+    /// under tracker-shaped operation streams: free claims of absent rows (in
+    /// slot order), min-count evictions that move a slot to a new row,
+    /// recounts, lookups and clears. One to four chain heads and a key
+    /// universe four times the slot count make rows collide, so evictions
+    /// unchain links from the middle of a chain. The structure validator runs
+    /// after every operation.
     #[test]
-    fn row_slot_index_matches_hashmap_reference(
+    fn count_table_matches_hashmap_reference(
         seed in 0u64..1_000_000,
-        entries in 1usize..64,
+        entries in 1usize..48,
+        heads_log2 in 0u32..3,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut index = RowSlotIndex::for_entries(entries);
+        let mut table = CountSummary::with_chain_heads(entries, 1 << heads_log2);
         let mut model: HashMap<RowId, usize> = HashMap::new();
+        let mut free_claims = 0usize;
         let universe = (entries as u32) * 4;
-        for _step in 0..2_000u32 {
+        for step in 0..2_000u32 {
             let row = rng.gen_range(0..universe);
+            let count = u64::from(rng.gen_range(0..16u32));
             match rng.gen_range(0..100u32) {
-                // Insert (only when absent and the table has room, as trackers do).
-                0..=44 if !model.contains_key(&row) && model.len() < entries => {
-                    let slot = rng.gen_range(0..entries as u32) as usize;
-                    index.insert(row, slot);
-                    model.insert(row, slot);
+                // Claim an absent row, as the trackers do on a miss: a free
+                // slot while any remains, else the minimum if its count is at
+                // most a spillover-like limit.
+                0..=59 if !model.contains_key(&row) => {
+                    if let Some(slot) = table.claim_free(row) {
+                        // Free slots are claimed in id order.
+                        prop_assert_eq!(slot, free_claims);
+                        free_claims += 1;
+                        table.attach(slot, count);
+                        model.insert(row, slot);
+                    } else {
+                        let victim = table.min().map(|(slot, _)| table.row_of(slot));
+                        // The new count is at least the limit, so at least the
+                        // minimum whenever the eviction happens.
+                        if let Some(slot) = table.evict_min_if_at_most(count, count + 2) {
+                            table.rechain(slot, row);
+                            let victim = victim.expect("an eviction has a victim");
+                            prop_assert_eq!(model.remove(&victim), Some(slot));
+                            model.insert(row, slot);
+                        }
+                    }
                 }
-                // Remove, present or not.
-                45..=84 => {
-                    let was_present = model.remove(&row).is_some();
-                    prop_assert_eq!(index.remove(row), was_present);
+                // Recount a tracked row (a match, or a mitigation roll-back).
+                60..=89 => {
+                    if let Some(&slot) = model.get(&row) {
+                        table.set_count(slot, count);
+                    }
                 }
                 // Occasional refresh-window reset.
-                85..=86 => {
-                    index.clear();
+                90..=91 => {
+                    table.clear();
                     model.clear();
+                    free_claims = 0;
                 }
                 // Lookup of a random row.
                 _ => {}
             }
-            prop_assert_eq!(index.get(row), model.get(&row).copied());
-            prop_assert_eq!(index.len(), model.len());
+            table.validate();
+            prop_assert!(
+                table.find(row) == model.get(&row).copied(),
+                "step {}: row {} found at {:?}, model {:?}",
+                step, row, table.find(row), model.get(&row)
+            );
+            prop_assert_eq!(table.len(), model.len());
         }
         // Full sweep: every key in the universe agrees.
         for row in 0..universe {
-            prop_assert_eq!(index.get(row), model.get(&row).copied());
+            prop_assert_eq!(table.find(row), model.get(&row).copied());
         }
     }
 }
