@@ -43,11 +43,6 @@ pub fn figure_workloads() -> Vec<&'static str> {
     }
 }
 
-/// Prints a header row for a tab-separated table.
-pub fn print_header(columns: &[&str]) {
-    println!("{}", columns.join("\t"));
-}
-
 /// Prints one row of a tab-separated table.
 pub fn print_row(label: &str, values: &[f64]) {
     let formatted: Vec<String> = values.iter().map(|v| format!("{v:.4}")).collect();

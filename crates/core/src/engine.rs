@@ -140,11 +140,6 @@ impl BankMitigationEngine {
         self.stats
     }
 
-    /// Name of the deployed defense.
-    pub fn defense_name(&self) -> &'static str {
-        self.defense.name()
-    }
-
     /// Access to the underlying tracker (for storage queries and test assertions).
     pub fn tracker(&self) -> &dyn RowTracker {
         self.tracker.as_ref()

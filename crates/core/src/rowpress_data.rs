@@ -16,8 +16,6 @@
 //! properties that matter to ImPress — monotonicity, the 0.62 relative threshold at
 //! tMRO = 186 ns, and the α envelopes — are preserved and asserted by tests.
 
-use impress_dram::timing::{ns_to_cycles, Cycle};
-
 /// One point of the relative-threshold curve of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TstarPoint {
@@ -227,11 +225,6 @@ pub fn long_duration_points() -> Vec<LongDurationPoint> {
 
 /// The tMRO values swept in Figures 3 and 5, in nanoseconds.
 pub const TMRO_SWEEP_NS: [u64; 6] = [36, 66, 96, 186, 336, 636];
-
-/// Converts a tMRO value in nanoseconds to DRAM cycles.
-pub fn tmro_cycles(t_mro_ns: u64) -> Cycle {
-    ns_to_cycles(t_mro_ns)
-}
 
 #[cfg(test)]
 mod tests {

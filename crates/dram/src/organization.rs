@@ -1,7 +1,5 @@
 //! DRAM module organization (channels, ranks, bank groups, banks, rows, columns).
 
-use crate::address::PhysicalAddress;
-
 /// Describes how much DRAM exists and how it is organized, mirroring Table II of the
 /// paper (64 GB DDR5, 2 channels, 32 banks × 1 rank × 2 sub-channels per channel).
 ///
@@ -73,12 +71,6 @@ impl DramOrganization {
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.total_banks() as u64 * self.rows_per_bank as u64 * self.row_bytes()
-    }
-
-    /// Returns the largest physical address (exclusive) representable in this
-    /// organization; addresses passed to the mapping must be below this.
-    pub fn address_limit(&self) -> PhysicalAddress {
-        PhysicalAddress::new(self.capacity_bytes())
     }
 }
 

@@ -18,8 +18,6 @@ pub struct RefreshScheduler {
     owed: u32,
     /// Total REF commands issued.
     issued: u64,
-    /// Largest number of simultaneously postponed REF commands observed.
-    max_owed_seen: u32,
 }
 
 impl RefreshScheduler {
@@ -31,7 +29,6 @@ impl RefreshScheduler {
             next_due: timings.t_refi,
             owed: 0,
             issued: 0,
-            max_owed_seen: 0,
         }
     }
 
@@ -42,7 +39,6 @@ impl RefreshScheduler {
             self.owed += 1;
             self.next_due += self.t_refi;
         }
-        self.max_owed_seen = self.max_owed_seen.max(self.owed);
     }
 
     /// Returns `true` if at least one REF command is owed.
@@ -86,11 +82,6 @@ impl RefreshScheduler {
     /// Total number of REF commands issued so far.
     pub fn refreshes_issued(&self) -> u64 {
         self.issued
-    }
-
-    /// Largest number of simultaneously postponed REF commands observed (≤ limit + 1).
-    pub fn max_postponed_observed(&self) -> u32 {
-        self.max_owed_seen
     }
 
     /// Longest row-open time (in cycles) an attacker can achieve before a refresh

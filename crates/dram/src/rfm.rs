@@ -13,7 +13,6 @@ pub struct RfmCounter {
     rfm_th: u32,
     raa: u32,
     rfms_issued: u64,
-    acts_counted: u64,
 }
 
 impl RfmCounter {
@@ -28,7 +27,6 @@ impl RfmCounter {
             rfm_th,
             raa: 0,
             rfms_issued: 0,
-            acts_counted: 0,
         }
     }
 
@@ -40,7 +38,6 @@ impl RfmCounter {
     /// Records one activation; returns `true` if an RFM command is now owed.
     pub fn on_activation(&mut self) -> bool {
         self.raa += 1;
-        self.acts_counted += 1;
         self.raa >= self.rfm_th
     }
 
@@ -64,11 +61,6 @@ impl RfmCounter {
     /// Total RFM commands issued.
     pub fn rfms_issued(&self) -> u64 {
         self.rfms_issued
-    }
-
-    /// Total activations counted.
-    pub fn activations_counted(&self) -> u64 {
-        self.acts_counted
     }
 }
 

@@ -124,12 +124,6 @@ impl DramTimings {
         let refresh_cycles = refs_per_refw * self.t_rfc;
         (self.t_refw - refresh_cycles) / self.t_rc
     }
-
-    /// Converts a duration expressed in nanoseconds into cycles with these timings'
-    /// clock (provided for symmetry; the clock is fixed at 2.666 GHz).
-    pub fn from_ns(&self, ns: u64) -> Cycle {
-        ns_to_cycles(ns)
-    }
 }
 
 impl Default for DramTimings {

@@ -10,7 +10,7 @@
 
 use impress_dram::address::{DramAddress, PhysicalAddress};
 use impress_dram::error::DramError;
-use impress_dram::stats::{BankStats, ChannelStats};
+use impress_dram::stats::ChannelStats;
 use impress_dram::timing::Cycle;
 
 use crate::config::ControllerConfig;
@@ -90,11 +90,6 @@ impl MemoryController {
     /// Total mitigative activations (victim refreshes) across the system.
     pub fn mitigative_activations(&self) -> u64 {
         self.stats().banks.mitigative_activations
-    }
-
-    /// Aggregated per-bank statistics (for the energy model).
-    pub fn bank_stats(&self) -> BankStats {
-        self.stats().banks
     }
 
     /// Total number of banks in the system.

@@ -217,11 +217,6 @@ impl ChannelShard {
         }
     }
 
-    /// The channel this shard models.
-    pub fn channel_index(&self) -> u8 {
-        self.index
-    }
-
     /// Number of banks in this channel.
     pub fn bank_count(&self) -> usize {
         self.banks.len()

@@ -55,11 +55,6 @@ impl PerformanceResult {
                 .map(|(ipc, base)| if *base > 0.0 { ipc / base } else { 1.0 }),
         ) / n
     }
-
-    /// Aggregate IPC (sum over cores).
-    pub fn total_ipc(&self) -> f64 {
-        compensated_sum(self.per_core_ipc.iter().copied())
-    }
 }
 
 /// Geometric mean of a slice of positive values (1.0 for an empty slice).

@@ -92,9 +92,7 @@ pub struct NormalizedResult {
     pub output: RunOutput,
 }
 
-/// Options shared by every sweep entry point (and by the trace-driven
-/// [`crate::trace_runner::TraceRunner`], which takes its thread knobs from the
-/// same type).
+/// Options shared by every sweep entry point.
 ///
 /// Every field is an override; `None` keeps the corresponding default. All
 /// combinations produce bit-for-bit identical simulation results — these are

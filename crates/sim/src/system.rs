@@ -40,15 +40,6 @@ impl RunOutput {
     pub fn row_hit_rate(&self) -> f64 {
         self.memory.banks.row_hit_rate()
     }
-
-    /// Demand activations relative to demand accesses.
-    pub fn activations_per_access(&self) -> f64 {
-        if self.memory.banks.accesses() == 0 {
-            0.0
-        } else {
-            self.memory.banks.activations as f64 / self.memory.banks.accesses() as f64
-        }
-    }
 }
 
 /// The simulated system: cores driving the memory controller with an access source.

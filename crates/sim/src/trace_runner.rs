@@ -26,7 +26,7 @@ use impress_workloads::source::{AccessSource, TraceSource, TransportEvent};
 use impress_workloads::MemoryAccess;
 
 use crate::daemon::DaemonOptions;
-use crate::runner::{Configuration, SweepOptions};
+use crate::runner::Configuration;
 use crate::system::{RunOutput, System};
 
 /// Records executed per epoch-pool round during open-loop ingestion (matches the
@@ -574,9 +574,10 @@ impl VerdictReport {
 
 /// Drives recorded traces through the simulator.
 ///
-/// Shares [`SweepOptions`] with [`crate::runner::ExperimentRunner`]: the
-/// `shard_threads` knob means the same thing in both (workers executing channel
-/// shards inside one run), and both guarantee bit-identical output at any value.
+/// Its shard-thread knob ([`TraceRunner::with_shard_threads`]) means what
+/// [`crate::runner::ExperimentRunner::with_shard_threads`] means: workers
+/// executing channel shards inside one run, with bit-identical output at any
+/// value.
 #[derive(Debug)]
 pub struct TraceRunner {
     system: crate::config::SystemConfig,
@@ -598,15 +599,6 @@ impl TraceRunner {
             shard_threads: 1,
             window_records: 1 << 20,
         }
-    }
-
-    /// Creates a runner taking its thread knobs from shared [`SweepOptions`].
-    pub fn from_options(options: &SweepOptions) -> Self {
-        let mut runner = Self::new();
-        if let Some(threads) = options.shard_threads {
-            runner.shard_threads = threads.max(1);
-        }
-        runner
     }
 
     /// Executes each run's channel shards on up to `threads` workers (bit-identical

@@ -37,8 +37,8 @@
 //!   frame boundary is indistinguishable from a clean end of stream in-band
 //!   (higher layers bound it with checkpointed record counts).
 //!
-//! Strict-mode decoding of well-formed streams is bit-identical to the resync
-//! path — the modes differ only in how damage is answered.
+//! Both modes parse frames through the same reader, which validates a frame
+//! before consuming it; they differ only in how damage is answered.
 
 use std::io::{self, Read, Write};
 
@@ -542,15 +542,12 @@ impl<S: TraceSource> TraceReader<S> {
         s
     }
 
-    /// Truncation error with position context (strict mode).
-    fn eof_err(&self, what: &str) -> io::Error {
+    /// Truncation error with position context (strict mode). `offset` is the
+    /// absolute position at which the stream came up short.
+    fn eof_err(&self, what: &str, offset: u64) -> io::Error {
         io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            format!(
-                "{what} at byte {}, frame {}",
-                self.byte_offset(),
-                self.frames_decoded
-            ),
+            format!("{what} at byte {offset}, frame {}", self.frames_decoded),
         )
     }
 
@@ -566,9 +563,9 @@ impl<S: TraceSource> TraceReader<S> {
     fn read_header(&mut self) -> io::Result<()> {
         if !self.want(10)? {
             if self.remaining() == 0 {
-                return Err(self.eof_err("empty trace stream"));
+                return Err(self.eof_err("empty trace stream", 0));
             }
-            return Err(self.eof_err("trace header truncated"));
+            return Err(self.eof_err("trace header truncated", 0));
         }
         if self.take(4) != TRACE_MAGIC {
             return Err(self.corrupt_err("not an impress trace (bad magic)", 0));
@@ -581,7 +578,7 @@ impl<S: TraceSource> TraceReader<S> {
         let cores = self.take(1)[0];
         let name_len = self.take(1)[0] as usize;
         if !self.want(name_len + cores as usize * 8)? {
-            return Err(self.eof_err("trace header truncated"));
+            return Err(self.eof_err("trace header truncated", 10));
         }
         let name = String::from_utf8(self.take(name_len).to_vec())
             .map_err(|_| self.corrupt_err("trace name is not UTF-8", 10))?;
@@ -600,76 +597,25 @@ impl<S: TraceSource> TraceReader<S> {
     }
 
     /// Reads and verifies the next frame; returns false at the end of the stream.
-    /// Kept out of line: it runs once per frame, and [`TraceReader::next_record`]
-    /// inlines into per-record loops.
+    /// Each frame is validated before any of it is consumed, and damage goes to
+    /// [`TraceReader::frame_fault`]: strict mode returns it as an error, resync
+    /// mode skips past it and tries again. Always terminates: every resync
+    /// fault consumes at least one byte. Kept out of line: it runs once per
+    /// frame, and [`TraceReader::next_record`] inlines into per-record loops.
     #[inline(never)]
     fn read_frame(&mut self) -> io::Result<bool> {
-        match self.mode {
-            DecodeMode::Strict => self.read_frame_strict(),
-            DecodeMode::Resync => self.read_frame_resync(),
-        }
-    }
-
-    fn read_frame_strict(&mut self) -> io::Result<bool> {
-        if !self.want(8)? {
-            if self.remaining() == 0 {
-                return Ok(false);
-            }
-            return Err(self.eof_err("trace frame truncated"));
-        }
-        let start = self.byte_offset();
-        if self.take(4) != FRAME_MAGIC {
-            return Err(self.corrupt_err("corrupt trace frame (bad magic)", start));
-        }
-        let count = u32::from_le_bytes(self.take(4).try_into().unwrap()) as usize;
-        if count > FRAME_RECORDS {
-            // The writer never emits oversized frames, so the count field is
-            // corrupt; erroring here also stops a hostile count from demanding
-            // gigabytes of buffer.
-            return Err(self.corrupt_err(
-                &format!("implausible frame record count {count} (max {FRAME_RECORDS})"),
-                start + 4,
-            ));
-        }
-        let payload_len = count * RECORD_BYTES;
-        if !self.want(payload_len + 8)? {
-            return Err(self.eof_err("trace frame truncated"));
-        }
-        let payload_start = self.at;
-        self.at += payload_len;
-        let stored = u64::from_le_bytes(self.take(8).try_into().unwrap());
-        let payload = &self.buf[payload_start..payload_start + payload_len];
-        if frame_checksum(payload) != stored {
-            return Err(self.corrupt_err("trace frame checksum mismatch", start));
-        }
-        self.yield_frame(payload_start, payload_len);
-        Ok(true)
-    }
-
-    /// Starts yielding the validated payload at `buf[payload_start..]`, which
-    /// has already been consumed (`at` points past it).
-    fn yield_frame(&mut self, payload_start: usize, payload_len: usize) {
-        self.frame_next = payload_start;
-        self.frame_end = payload_start + payload_len;
-        self.frames_decoded += 1;
-    }
-
-    /// Resynchronizing frame reader: validates frames before consuming them, and
-    /// answers damage by scanning forward for the next frame magic instead of
-    /// erroring. Always terminates: every fault consumes at least one byte.
-    fn read_frame_resync(&mut self) -> io::Result<bool> {
         loop {
+            let start = self.byte_offset();
             if !self.want(8)? {
                 if self.remaining() == 0 {
                     return Ok(false);
                 }
                 // Trailing bytes too short to even hold a frame header.
-                self.record_truncation(None)?;
+                self.frame_fault(FaultKind::TruncatedFrame, start, None)?;
                 return Ok(false);
             }
-            let start = self.byte_offset();
             if self.buf[self.at..self.at + 4] != FRAME_MAGIC {
-                self.resync_skip(start, FaultKind::BadFrameMagic, 0)?;
+                self.frame_fault(FaultKind::BadFrameMagic, start, None)?;
                 continue;
             }
             let count = u32::from_le_bytes(
@@ -678,14 +624,17 @@ impl<S: TraceSource> TraceReader<S> {
                     .expect("4 bytes"),
             ) as usize;
             if count > FRAME_RECORDS {
-                self.resync_skip(start, FaultKind::OversizedFrame, 0)?;
+                // The writer never emits oversized frames, so the count field is
+                // corrupt; refusing it also stops a hostile count from demanding
+                // gigabytes of buffer.
+                self.frame_fault(FaultKind::OversizedFrame, start, Some(count))?;
                 continue;
             }
             let payload_len = count * RECORD_BYTES;
             if !self.want(8 + payload_len + 8)? {
                 // The stream ends inside this frame: all of its declared records
                 // are lost, along with whatever the trailing bytes held.
-                self.record_truncation(Some(count as u64))?;
+                self.frame_fault(FaultKind::TruncatedFrame, start, Some(count))?;
                 return Ok(false);
             }
             let payload_start = self.at + 8;
@@ -695,14 +644,50 @@ impl<S: TraceSource> TraceReader<S> {
                     .expect("8 bytes"),
             );
             if frame_checksum(&self.buf[payload_start..payload_start + payload_len]) != stored {
-                self.resync_skip(start, FaultKind::ChecksumMismatch, count as u64)?;
+                self.frame_fault(FaultKind::ChecksumMismatch, start, Some(count))?;
                 continue;
             }
             // Valid frame: consume it wholesale and yield it in place.
             self.at += 8 + payload_len + 8;
-            self.yield_frame(payload_start, payload_len);
+            self.frame_next = payload_start;
+            self.frame_end = payload_start + payload_len;
+            self.frames_decoded += 1;
             return Ok(true);
         }
+    }
+
+    /// Answers `kind` of damage in the frame at `start`, none of which has been
+    /// consumed; `count` is the record count its header declared, once read.
+    /// Strict mode returns the error [`TraceReader::next_record`] reports, placed
+    /// where the damaged field starts (past the header for a truncated payload).
+    /// Resync mode consumes the damaged region and records an [`IngestFault`].
+    fn frame_fault(&mut self, kind: FaultKind, start: u64, count: Option<usize>) -> io::Result<()> {
+        if self.mode == DecodeMode::Resync {
+            return match kind {
+                FaultKind::TruncatedFrame => {
+                    self.record_truncation(count.unwrap_or(0) as u64);
+                    Ok(())
+                }
+                // An oversized count bounds nothing, so only bytes count as lost.
+                FaultKind::OversizedFrame => self.resync_skip(start, kind, 0),
+                _ => self.resync_skip(start, kind, count.unwrap_or(0) as u64),
+            };
+        }
+        Err(match kind {
+            FaultKind::BadFrameMagic => self.corrupt_err("corrupt trace frame (bad magic)", start),
+            FaultKind::OversizedFrame => self.corrupt_err(
+                &format!(
+                    "implausible frame record count {} (max {FRAME_RECORDS})",
+                    count.unwrap_or(0)
+                ),
+                start + 4,
+            ),
+            FaultKind::ChecksumMismatch => self.corrupt_err("trace frame checksum mismatch", start),
+            FaultKind::TruncatedFrame => {
+                let header = if count.is_some() { 8 } else { 0 };
+                self.eof_err("trace frame truncated", start + header)
+            }
+        })
     }
 
     /// Consumes the damaged region starting at `fault_offset` (whose first byte
@@ -743,16 +728,11 @@ impl<S: TraceSource> TraceReader<S> {
     }
 
     /// Records the stream ending inside a frame, consuming the trailing bytes.
-    fn record_truncation(&mut self, declared_records: Option<u64>) -> io::Result<()> {
+    fn record_truncation(&mut self, declared_records: u64) {
         let fault_offset = self.byte_offset();
         self.at = self.buf.len();
-        self.push_fault(
-            FaultKind::TruncatedFrame,
-            fault_offset,
-            declared_records.unwrap_or(0),
-        );
+        self.push_fault(FaultKind::TruncatedFrame, fault_offset, declared_records);
         self.truncated = true;
-        Ok(())
     }
 
     /// Appends a fault for the consumed region `[fault_offset, byte_offset())`.

@@ -3,12 +3,33 @@
 //! across protected and unprotected configurations and both workload classes.
 
 use impress_repro::core::config::{DefenseKind, ProtectionConfig, TrackerChoice};
+use impress_repro::core::Alpha;
 use impress_repro::dram::timing::ns_to_cycles;
+use impress_repro::dram::DramTimings;
 use impress_repro::sim::{Configuration, ExperimentRunner};
 
+/// Every tracker family and every defense kind at least once. The golden
+/// figure files compare PARA, ExPress and ImPress-N cells only as 4-decimal
+/// text, so they are compared bit for bit here.
 fn configurations() -> Vec<Configuration> {
     vec![
         Configuration::with_tmro("tMRO=66ns".to_string(), ns_to_cycles(66)),
+        Configuration::protected(
+            "PARA+ImPress-N",
+            ProtectionConfig::paper_default(
+                TrackerChoice::Para,
+                DefenseKind::ImpressN {
+                    alpha: Alpha::Conservative,
+                },
+            ),
+        ),
+        Configuration::protected(
+            "Graphene+ExPress",
+            ProtectionConfig::paper_default(
+                TrackerChoice::Graphene,
+                DefenseKind::express_paper_baseline(&DramTimings::ddr5()),
+            ),
+        ),
         Configuration::protected(
             "Graphene+ImPress-P",
             ProtectionConfig::paper_default(
